@@ -9,7 +9,6 @@
 //	brexp -instrs 2000000         # longer runs
 //	brexp -j 8                    # run up to 8 simulations concurrently
 //	brexp -cache-dir .brexp-cache # skip points already computed by earlier invocations
-//	brexp -cache-dir .brexp-cache -resume   # also resume points interrupted mid-run
 //
 // Single-point mode runs one (workload, predictor, BR) combination — the
 // workload may be a recorded trace, replayed through the full machine:
@@ -53,8 +52,7 @@ func main() {
 		jobs        = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS); output is identical for any value")
 		cacheDir    = flag.String("cache-dir", "", "persistent run cache directory; completed simulation points are reused across invocations")
 		noCache     = flag.Bool("no-cache", false, "recompute every point, ignoring the persistent cache even when -cache-dir is set")
-		resume      = flag.Bool("resume", false, "with -cache-dir: persist mid-run snapshots and resume interrupted points on restart")
-		shareWarmup = flag.Bool("share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode; overridden by -resume)")
+		shareWarmup = flag.Bool("share-warmup", false, "warm up once per workload and fork each point from the shared snapshot (WarmupBarrier mode)")
 		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile  = flag.String("memprofile", "", "write a heap profile to this path on exit")
 
@@ -128,12 +126,7 @@ func main() {
 	opts.Jobs = *jobs
 	opts.CacheDir = *cacheDir
 	opts.NoCache = *noCache
-	opts.Resume = *resume
 	opts.ShareWarmup = *shareWarmup
-	if *resume && *cacheDir == "" {
-		fmt.Fprintln(os.Stderr, "brexp: -resume requires -cache-dir")
-		os.Exit(2)
-	}
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }
 	}

@@ -34,7 +34,6 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "persistent run cache directory (empty = no cache)")
 		jobs         = flag.Int("j", 0, "simulations per job run concurrently (0 = GOMAXPROCS)")
 		maxJobs      = flag.Int("max-jobs", 2, "jobs executing concurrently; further submissions queue")
-		resume       = flag.Bool("resume", false, "persist mid-run snapshots so interrupted jobs resume (needs -cache-dir)")
 		quick        = flag.Bool("quick", false, "reduced default budgets and small workload scale")
 		traceDir     = flag.String("trace-dir", "", "directory of recorded *.btr traces served as trace:<name> workloads")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Minute, "how long shutdown waits for running jobs")
@@ -45,7 +44,6 @@ func main() {
 		CacheDir: *cacheDir,
 		Jobs:     *jobs,
 		MaxJobs:  *maxJobs,
-		Resume:   *resume,
 		Quick:    *quick,
 		TraceDir: *traceDir,
 	})

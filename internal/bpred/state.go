@@ -11,7 +11,7 @@ import (
 // the loaders verify sizes against the snapshot so a snapshot from a
 // differently-configured predictor is rejected instead of misdecoded.
 // Checkpoint pools (scratch reused across fetches) are deliberately not
-// part of a snapshot: at a quiesced snapshot point no in-flight branch
+// part of a snapshot: at a drained snapshot point no in-flight branch
 // exists, so the pool contents are semantically empty.
 
 // StateVersion values for the predictor section envelopes.
@@ -151,7 +151,7 @@ func (t *Tournament) LoadState(r *brstate.Reader) error {
 
 // SaveState implements brstate.Saver: LDBP serializes its provenance and
 // table state, then delegates to the wrapped base predictor. inflight is
-// deliberately excluded: snapshots are only taken at quiesced barriers
+// deliberately excluded: snapshots are only taken at drained barriers
 // where every prediction has been released, so it is semantically zero
 // (mirroring the pool-exclusion rule above).
 func (l *LDBP) SaveState(w *brstate.Writer) {

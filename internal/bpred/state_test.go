@@ -45,7 +45,7 @@ func stir(p Predictor, seed uint64, n int) {
 }
 
 // normalize empties checkpoint scratch pools, which are semantically empty
-// at a quiesce barrier and deliberately excluded from snapshots.
+// at a drained barrier and deliberately excluded from snapshots.
 func normalize(p Predictor) {
 	switch s := p.(type) {
 	case *TAGESCL:

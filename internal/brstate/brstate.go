@@ -1,8 +1,8 @@
 // Package brstate is the simulator's uniform state-serialization layer: a
 // deterministic little-endian binary codec with an explicit format version,
-// used by every stateful component to save and restore snapshots. There is
+// used to save and restore warmup snapshots and run-cache entries. There is
 // no reflection on the save/load path — each component enumerates its own
-// fields — so the codec stays fast enough for stride snapshots and
+// fields — so the codec stays fast enough for warmup snapshots and
 // byte-stable enough to content-address (identical state always encodes to
 // identical bytes; maps are emitted in sorted key order by their owners).
 //

@@ -57,8 +57,8 @@ type Core struct {
 	haltRetired     bool
 
 	// fetchDisabled suspends fetch while Drain empties the pipeline ahead
-	// of a snapshot barrier; snapshots are only taken at quiesced barriers
-	// where it has been reset, so the codec never needs it.
+	// of a snapshot; snapshots are only taken after a drain, where it has
+	// been reset, so the codec never needs it.
 	fetchDisabled bool //brlint:allow snapshot-coverage
 
 	// Tracer wiring is re-attached by the machine builder, not the codec.
@@ -285,7 +285,7 @@ func (c *Core) skipDeadCycles() {
 }
 
 // Drain suspends fetch and cycles the machine until every in-flight
-// micro-op has retired or been squashed: the quiesce barrier ahead of a
+// micro-op has retired or been squashed: the barrier ahead of a warmup
 // snapshot. After a successful drain the ROB, reservation stations, fetch
 // queue, LSQ, store overlay and wrong-path tracker are all empty, and the
 // rename table is cleared (its surviving entries could only be stale retired

@@ -8,7 +8,7 @@ const StateVersion = 1
 // SaveState implements brstate.Saver: per-bank open rows and reservation
 // cycles, per-channel bus reservation and in-flight queue, and the request
 // counters. Reservation fields are absolute cycles, valid across restore
-// because a resumed run continues from the saved clock.
+// because a restored run continues from the saved clock.
 func (d *DRAM) SaveState(w *brstate.Writer) {
 	w.Len(len(d.chs))
 	for ci := range d.chs {

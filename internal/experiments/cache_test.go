@@ -4,12 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/runahead"
-	"repro/internal/sim"
-	"repro/internal/workloads"
 )
 
 // cacheTestOptions is a single-workload budget small enough that the
@@ -154,97 +151,28 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeCompletesInterruptedRun emulates a suite killed mid-simulation:
-// the point's barrier snapshot is left in the cache directory exactly as
-// the interrupted run would have written it, and the restarted suite must
-// resume it to a result deep-equal to an uninterrupted suite's.
-func TestResumeCompletesInterruptedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	refOpts := cacheTestOptions(t.TempDir())
-	refOpts.Resume = true
-	refSuite := NewSuite(refOpts)
-	ref, err := refSuite.run("mcf_17", vTage64(), refOpts.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := cacheTestOptions(t.TempDir())
-	o.Resume = true
-	s := NewSuite(o)
-	key := "mcf_17/tage64/40000"
-	cfg := s.simConfig(vTage64(), o.Instrs)
-	if cfg.SnapshotStride == 0 {
-		t.Fatal("Resume suite configured no snapshot stride")
-	}
-	// Reproduce the interrupted run's side file: the same configuration with
-	// a capturing sink, taking a mid-run barrier blob.
-	var blobs [][]byte
-	capCfg := cfg
-	capCfg.SnapshotFn = func(_ uint64, blob []byte) error {
-		cp := make([]byte, len(blob))
-		copy(cp, blob)
-		blobs = append(blobs, cp)
-		return nil
-	}
-	w, err := workloads.ByName("mcf_17", o.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(w, capCfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(blobs) < 2 {
-		t.Fatalf("expected multiple barrier snapshots, got %d", len(blobs))
-	}
-	part := s.partPath(key, cfg)
-	if err := atomicWrite(part, blobs[1]); err != nil {
-		t.Fatal(err)
-	}
-
-	res, err := s.run("mcf_17", vTage64(), o.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.RunsExecuted(); n != 1 {
-		t.Fatalf("resumed suite executed %d, want 1", n)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Fatalf("resumed result differs from uninterrupted run:\nwant %+v\ngot  %+v", ref, res)
-	}
-	if _, err := os.Stat(part); !os.IsNotExist(err) {
-		t.Errorf("completed run left its .part snapshot behind (stat err: %v)", err)
-	}
-}
-
-// TestResumeFallsBackOnBadPartFile pins that garbage in a .part file is
-// ignored: the point runs from reset and still matches the reference.
-func TestResumeFallsBackOnBadPartFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	refOpts := cacheTestOptions(t.TempDir())
-	refOpts.Resume = true
-	refSuite := NewSuite(refOpts)
-	ref, err := refSuite.run("mcf_17", vTage64(), refOpts.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	o := cacheTestOptions(t.TempDir())
-	o.Resume = true
-	s := NewSuite(o)
-	cfg := s.simConfig(vTage64(), o.Instrs)
-	part := s.partPath("mcf_17/tage64/40000", cfg)
-	if err := atomicWrite(part, []byte(strings.Repeat("junk", 64))); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.run("mcf_17", vTage64(), o.Instrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, ref) {
-		t.Fatal("fallback-from-garbage result differs from reference")
+// TestCacheIDStable pins the on-disk address of a default-mode and a
+// WarmupBarrier-mode run, so run caches written by earlier builds keep
+// hitting. A change here orphans every existing cache entry: make it only
+// together with a codec version bump.
+func TestCacheIDStable(t *testing.T) {
+	const key = "mcf_17/tage64/40000"
+	for _, tc := range []struct {
+		share bool
+		want  string
+	}{
+		{false, "5a6469ab77672199"},
+		{true, "eda2177d61fbeaf6"},
+	} {
+		o := cacheTestOptions(t.TempDir())
+		o.ShareWarmup = tc.share
+		s := NewSuite(o)
+		cfg := s.simConfig(vTage64(), o.Instrs)
+		if cfg.WarmupBarrier != tc.share {
+			t.Fatalf("ShareWarmup=%v built WarmupBarrier=%v", tc.share, cfg.WarmupBarrier)
+		}
+		if got := s.cacheID(key, cfg); got != tc.want {
+			t.Errorf("ShareWarmup=%v: cacheID = %s, want %s", tc.share, got, tc.want)
+		}
 	}
 }

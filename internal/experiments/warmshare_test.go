@@ -67,7 +67,8 @@ func TestSharedSweepWarmsUpOncePerKey(t *testing.T) {
 
 // TestRunnerWarmupSingleflight hammers one warmup key from many goroutines
 // and requires the compute function to run exactly once, with every caller
-// receiving the same blob.
+// receiving the same blob. Each caller holds a worker slot around the call,
+// as a run's compute does: warmup hands that slot back while it waits.
 func TestRunnerWarmupSingleflight(t *testing.T) {
 	r := newRunner(4)
 	var mu sync.Mutex
@@ -78,6 +79,8 @@ func TestRunnerWarmupSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			r.sem <- struct{}{}
+			defer func() { <-r.sem }()
 			blobs[i], _ = r.warmup("k", func() ([]byte, error) {
 				mu.Lock()
 				computes++

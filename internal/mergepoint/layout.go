@@ -27,8 +27,7 @@ type LayoutPredictor struct {
 
 	C *stats.Counters
 	// ctr holds dense handles into C for the retire-path events; the
-	// values live in C, which the codec serializes.
-	//brlint:allow snapshot-coverage
+	// values live in C.
 	ctr layoutCounters
 }
 

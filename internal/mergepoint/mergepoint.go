@@ -141,8 +141,7 @@ type Predictor struct {
 
 	C *stats.Counters
 	// ctr holds dense handles into C for the session-path events; the
-	// values live in C, which the codec serializes.
-	//brlint:allow snapshot-coverage
+	// values live in C.
 	ctr mpCounters
 }
 

@@ -99,8 +99,8 @@ type deferredInit struct {
 type DCE struct {
 	cfg    *Config
 	dcache *cache.Cache
-	// dtlb is shared with the core (may be nil); wiring, not state.
-	dtlb     *cache.TLB //brlint:allow snapshot-coverage
+	// dtlb is shared with the core (may be nil).
+	dtlb     *cache.TLB
 	mem      *emu.Memory
 	cc       *ChainCache
 	pqs      *PQSet
@@ -120,20 +120,19 @@ type DCE struct {
 	// deferredSpare is the detached backing retryDeferred swaps with
 	// deferred each Tick, so the retry loop reuses two arrays forever
 	// instead of reallocating per cycle. Pure scratch between Ticks.
-	deferredSpare []deferredInit //brlint:allow snapshot-coverage
+	deferredSpare []deferredInit
 	// spareIssue/spareRS are per-Tick scratch (Core-Only: the cycle's
 	// borrowed issue slots), rewritten before each use.
-	spareIssue int //brlint:allow snapshot-coverage
-	spareRS    int //brlint:allow snapshot-coverage
+	spareIssue int
+	spareRS    int
 
 	C *stats.Counters
 	// Dense handles for the engine's per-event counters; the values live
-	// in C, which the codec serializes.
-	ctr dceCounters //brlint:allow snapshot-coverage
+	// in C.
+	ctr dceCounters
 
-	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
-	tr *trace.Tracer //brlint:allow snapshot-coverage
+	// tr is the structured event tracer (nil when tracing is off).
+	tr *trace.Tracer
 }
 
 // dceCounters are pre-registered handles; uopsIssued and loadsIssued fire

@@ -14,8 +14,8 @@ import (
 // chain extraction, the chain cache, the prediction queues and the DCE into
 // the core's fetch/resolve/retire/flush hooks.
 type System struct {
-	// cfg is construction-time configuration, rebuilt before restore.
-	cfg Config //brlint:allow snapshot-coverage
+	// cfg is construction-time configuration.
+	cfg Config
 
 	hbt *HBT
 	ceb *CEB
@@ -40,18 +40,17 @@ type System struct {
 
 	C *stats.Counters
 	// Dense handles for the per-branch-event counters; the values live in
-	// C, which the codec serializes.
-	ctr sysCounters //brlint:allow snapshot-coverage
+	// C.
+	ctr sysCounters
 
-	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
-	tr *trace.Tracer //brlint:allow snapshot-coverage
+	// tr is the structured event tracer (nil when tracing is off).
+	tr *trace.Tracer
 
 	// refPool recycles slot references released by the core via
 	// ReleaseUopData; refSlab amortizes the initial allocations. Free
 	// lists are never part of the architectural state.
-	refPool []*slotRef //brlint:allow snapshot-coverage
-	refSlab []slotRef  //brlint:allow snapshot-coverage
+	refPool []*slotRef
+	refSlab []slotRef
 
 	// ext is the reusable chain extractor; pure scratch between
 	// extractions, so never part of the architectural state.

@@ -484,15 +484,12 @@ func TestServeUnknownJob(t *testing.T) {
 	}
 }
 
-// TestConfigValidate mirrors the repo's Validate() rejection convention.
+// TestConfigValidate pins that every field's zero and non-positive values
+// are accepted: they select documented defaults rather than being errors.
 func TestConfigValidate(t *testing.T) {
-	if err := (Config{Resume: true}).Validate(); err == nil {
-		t.Error("Resume without CacheDir validated")
-	}
-	if _, err := New(Config{Resume: true}); err == nil {
-		t.Error("New accepted a config its Validate rejects")
-	}
-	if err := (Config{CacheDir: "x", Resume: true, MaxJobs: 3}).Validate(); err != nil {
-		t.Errorf("valid config rejected: %v", err)
+	for _, c := range []Config{{}, {CacheDir: "x", Jobs: -1, MaxJobs: 0}, {CacheDir: "x", MaxJobs: 3}} {
+		if err := c.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", c, err)
+		}
 	}
 }

@@ -127,8 +127,8 @@ type Config struct {
 	FrontEnd FrontEndKind `brphase:"warmup"`
 	// BR enables Branch Runahead when non-nil. It is measure-only under the
 	// sharing contract: sharing is legal only in WarmupBarrier mode, where
-	// the runahead system attaches at the (drained, quiesced) warmup/measure
-	// boundary and therefore cannot influence the warmup phase. In the
+	// the runahead system attaches at the drained warmup/measure boundary
+	// and therefore cannot influence the warmup phase. In the
 	// default mode the system attaches at reset and does shape warmup — but
 	// default-mode runs never share a warmup snapshot (WarmupSnapshot and
 	// RunFromWarmup refuse them), so the partition claim is never relied on
@@ -144,27 +144,12 @@ type Config struct {
 	// simulated state, but warmup code reads the field, so it is
 	// warmup-affecting for snapshot-sharing purposes.)
 	Trace *trace.Tracer `brphase:"warmup"`
-	// SnapshotStride, when positive, inserts quiesce barriers into the run:
-	// one at the warmup/measure boundary and one every SnapshotStride retired
-	// instructions of the measured phase. At a barrier the pipeline drains
-	// and the runahead engine discards its speculative in-flight state
-	// (deterministically — the barrier is part of the configured run, applied
-	// whether or not a snapshot is written, so a run resumed from a barrier
-	// snapshot replays identically to one that ran straight through). Zero
-	// leaves the run barrier-free and bit-identical to the unsnapshotted
-	// simulator. The warmup-boundary barrier makes this warmup-affecting.
-	SnapshotStride uint64 `brphase:"warmup"`
-	// SnapshotFn, when set alongside SnapshotStride, receives the serialized
-	// whole-simulation snapshot at each barrier. A returned error aborts the
-	// run. Snapshot emission observes state without changing it, so the sink
-	// is measure-only.
-	SnapshotFn func(retired uint64, blob []byte) error `brphase:"measure"`
-	// WarmupBarrier, when set, ends the warmup phase with a drain+quiesce
-	// barrier (as SnapshotStride does) and defers attaching the Branch
-	// Runahead system to that boundary instead of reset. This is the mode
-	// warmup-snapshot sharing requires: with BR out of the warmup phase
-	// entirely, every config agreeing on the warmup-tagged fields reaches a
-	// bit-identical boundary, so one warmup serves N measure configs
+	// WarmupBarrier, when set, ends the warmup phase by draining the
+	// pipeline and defers attaching the Branch Runahead system to that
+	// boundary instead of reset. This is the mode warmup-snapshot sharing
+	// requires: with BR out of the warmup phase entirely, every config
+	// agreeing on the warmup-tagged fields reaches a bit-identical
+	// boundary, so one warmup serves N measure configs
 	// (WarmupSnapshot / RunFromWarmup). A WarmupBarrier run is bit-identical
 	// to a fork from its own warmup snapshot, but not to a default-mode run
 	// of the same config — the boundary barrier and the deferred BR attach
@@ -274,8 +259,8 @@ type Result struct {
 }
 
 // machine bundles one wired simulation: workload, hierarchy, core and the
-// optional runahead system. Run builds one and drives it from reset; Resume
-// builds one and restores a barrier snapshot into it.
+// optional runahead system. Run builds one and drives it from reset;
+// RunFromWarmup builds one and restores a warmup blob into it.
 type machine struct {
 	w    *workloads.Workload
 	cfg  Config
@@ -319,9 +304,9 @@ func newMachine(w *workloads.Workload, cfg Config) (*machine, error) {
 }
 
 // attachBR builds and attaches the Branch Runahead system if the config asks
-// for one and none is attached yet. It is safe at reset and at a drained,
-// quiesced barrier (the warmup/measure boundary in WarmupBarrier mode): in
-// both cases the pipeline is empty and the system starts from zero state.
+// for one and none is attached yet. It is safe at reset and at the drained
+// warmup/measure boundary of WarmupBarrier mode: in both cases the pipeline
+// is empty and the system starts from zero state.
 func (m *machine) attachBR() {
 	if m.cfg.BR == nil || m.sys != nil {
 		return
@@ -333,31 +318,6 @@ func (m *machine) attachBR() {
 		sys.SetTracer(tr)
 	}
 	m.sys = sys
-}
-
-// barrier drains the pipeline and discards the runahead engine's speculative
-// in-flight state, leaving every component snapshot-serializable.
-func (m *machine) barrier() error {
-	if err := m.c.Drain(); err != nil {
-		return err
-	}
-	if m.sys != nil {
-		m.sys.Quiesce(m.c.Now())
-	}
-	return nil
-}
-
-// emitSnapshot serializes the machine at a barrier and hands the blob to the
-// configured sink.
-func (m *machine) emitSnapshot(boundary snap) error {
-	if m.cfg.SnapshotFn == nil {
-		return nil
-	}
-	blob, err := m.saveState(boundary)
-	if err != nil {
-		return err
-	}
-	return m.cfg.SnapshotFn(m.c.Ctr.Retired.Get(), blob)
 }
 
 // Run executes one simulation and returns its measured result.
@@ -377,19 +337,14 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	if tr := cfg.Trace; tr.Enabled() {
 		tr.Emit(trace.Event{Cycle: boundary.cycles, Kind: trace.KindPhase, Arg: trace.PhaseMeasure})
 	}
-	if cfg.SnapshotStride > 0 {
-		if err := m.emitSnapshot(boundary); err != nil {
-			return nil, fmt.Errorf("sim %s: snapshot: %w", w.Name, err)
-		}
-	}
 	return m.measure(boundary)
 }
 
 // warmup drives the machine from reset to the warmup/measure boundary,
-// applying the boundary barrier when snapshots are configured. Everything
-// reachable from here (and not from the measure phase) is statically barred
-// from reading measure-only Config fields by brlint's config-partition rule,
-// so runs differing only in those fields share a bit-identical boundary.
+// draining the pipeline there in WarmupBarrier mode. Everything reachable
+// from here (and not from the measure phase) is statically barred from
+// reading measure-only Config fields by brlint's config-partition rule, so
+// runs differing only in those fields share a bit-identical boundary.
 //
 //brlint:phase warmup
 func (m *machine) warmup() error {
@@ -401,8 +356,8 @@ func (m *machine) warmup() error {
 			return fmt.Errorf("sim %s: warmup: %w", m.w.Name, err)
 		}
 	}
-	if m.cfg.SnapshotStride > 0 || m.cfg.WarmupBarrier {
-		if err := m.barrier(); err != nil {
+	if m.cfg.WarmupBarrier {
+		if err := m.c.Drain(); err != nil {
 			return fmt.Errorf("sim %s: warmup barrier: %w", m.w.Name, err)
 		}
 	}
@@ -410,42 +365,12 @@ func (m *machine) warmup() error {
 }
 
 // measure drives the measured phase from the warmup boundary to the
-// instruction budget, applying stride barriers when configured, and computes
-// the result.
+// instruction budget and computes the result.
 //
 //brlint:phase measure
 func (m *machine) measure(boundary snap) (*Result, error) {
-	end := boundary.retired + m.cfg.MaxInstrs
-	if m.cfg.SnapshotStride == 0 {
-		if _, err := m.c.Run(end); err != nil {
-			return nil, fmt.Errorf("sim %s: %w", m.w.Name, err)
-		}
-		return m.finish(boundary), nil
-	}
-	stride := m.cfg.SnapshotStride
-	for {
-		cur := m.c.Ctr.Retired.Get()
-		if cur >= end || m.c.Halted() {
-			break
-		}
-		// The next stride barrier strictly after the current retired count;
-		// barriers land at boundary.retired + k*stride so both a resumed run
-		// and a straight-through run compute the same sequence.
-		target := boundary.retired + ((cur-boundary.retired)/stride+1)*stride
-		if target > end {
-			target = end
-		}
-		if _, err := m.c.Run(target); err != nil {
-			return nil, fmt.Errorf("sim %s: %w", m.w.Name, err)
-		}
-		if target < end && !m.c.Halted() {
-			if err := m.barrier(); err != nil {
-				return nil, fmt.Errorf("sim %s: stride barrier: %w", m.w.Name, err)
-			}
-			if err := m.emitSnapshot(boundary); err != nil {
-				return nil, fmt.Errorf("sim %s: snapshot: %w", m.w.Name, err)
-			}
-		}
+	if _, err := m.c.Run(boundary.retired + m.cfg.MaxInstrs); err != nil {
+		return nil, fmt.Errorf("sim %s: %w", m.w.Name, err)
 	}
 	return m.finish(boundary), nil
 }

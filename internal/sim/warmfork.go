@@ -5,7 +5,12 @@ import (
 	"reflect"
 	"strings"
 
+	"repro/internal/bpred"
 	"repro/internal/brstate"
+	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/dram"
+	"repro/internal/emu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -158,4 +163,86 @@ func RunFromWarmup(w *workloads.Workload, cfg Config, blob []byte) (*Result, err
 	m.attachBR()
 	boundary := snapshot(m.c, m.sys, m.hier)
 	return m.measure(boundary)
+}
+
+// predictorStateVersion is the "bpred" section version for predictor kind k.
+func predictorStateVersion(k PredictorKind) uint32 {
+	switch k {
+	case PredBimodal:
+		return bpred.BimodalStateVersion
+	case PredGshare:
+		return bpred.GshareStateVersion
+	case PredPerceptron:
+		return bpred.PerceptronStateVersion
+	case PredTournament:
+		return bpred.TournamentStateVersion
+	case PredLDBP:
+		return bpred.LDBPStateVersion
+	case PredBullseye:
+		return bpred.BullseyeStateVersion
+	default:
+		return bpred.TAGESCLStateVersion
+	}
+}
+
+// saveComponentSections writes one section per simulated component. The
+// runahead system is not among them: warmup blobs are taken before it
+// attaches.
+func (m *machine) saveComponentSections(w *brstate.Writer, saver brstate.Saver) {
+	w.Section("mem", emu.MemoryStateVersion, m.c.Memory().SaveState)
+	w.Section("core", core.StateVersion, m.c.SaveState)
+	w.Section("bpred", predictorStateVersion(m.cfg.Predictor), saver.SaveState)
+	w.Section("l1i", cache.CacheStateVersion, m.hier.ICache.SaveState)
+	w.Section("l1d", cache.CacheStateVersion, m.hier.DCache.SaveState)
+	w.Section("l2", cache.CacheStateVersion, m.hier.L2.SaveState)
+	if pf := m.hier.DCache.Prefetcher(); pf != nil {
+		w.Section("pf", cache.PrefetcherStateVersion, pf.SaveState)
+	}
+	if m.hier.DTLB != nil {
+		w.Section("dtlb", cache.TLBStateVersion, m.hier.DTLB.SaveState)
+	}
+	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
+		w.Section("dram", dram.StateVersion, d.SaveState)
+	}
+}
+
+// sectionLoader threads a sticky error through sequential section loads.
+type sectionLoader struct {
+	r   *brstate.Reader
+	err error
+}
+
+func (l *sectionLoader) load(name string, version uint32, ld func(*brstate.Reader) error) {
+	if l.err != nil {
+		return
+	}
+	var inner error
+	l.r.Section(name, version, func(r *brstate.Reader) { inner = ld(r) })
+	if secErr := l.r.Err(); secErr != nil {
+		l.err = secErr
+	} else {
+		l.err = inner
+	}
+	if l.err != nil {
+		l.err = fmt.Errorf("sim: snapshot section %q: %w", name, l.err)
+	}
+}
+
+// loadComponentSections restores the sections saveComponentSections wrote.
+func (m *machine) loadComponentSections(l *sectionLoader, loader brstate.Loader) {
+	l.load("mem", emu.MemoryStateVersion, m.c.Memory().LoadState)
+	l.load("core", core.StateVersion, m.c.LoadState)
+	l.load("bpred", predictorStateVersion(m.cfg.Predictor), loader.LoadState)
+	l.load("l1i", cache.CacheStateVersion, m.hier.ICache.LoadState)
+	l.load("l1d", cache.CacheStateVersion, m.hier.DCache.LoadState)
+	l.load("l2", cache.CacheStateVersion, m.hier.L2.LoadState)
+	if pf := m.hier.DCache.Prefetcher(); pf != nil {
+		l.load("pf", cache.PrefetcherStateVersion, pf.LoadState)
+	}
+	if m.hier.DTLB != nil {
+		l.load("dtlb", cache.TLBStateVersion, m.hier.DTLB.LoadState)
+	}
+	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
+		l.load("dram", dram.StateVersion, d.LoadState)
+	}
 }

@@ -7,7 +7,17 @@ import (
 
 	"repro/internal/runahead"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
+
+func mustWorkload(t *testing.T, name string) *workloads.Workload {
+	t.Helper()
+	w, err := workloads.ByName(name, workloads.SmallScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
 
 // forkCfg is the WarmupBarrier-mode config the fork tests share: small
 // enough to keep the matrix fast, BR-enabled so the deferred boundary attach
