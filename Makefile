@@ -56,7 +56,7 @@ bench-json:
 
 ## fuzz-smoke: a bounded pass over each native fuzz target — the brstate
 ## codec reader, the branch-trace decoder, the persistent-cache result
-## decoder and the warmup snapshot restore. CI runs this on every push;
+## decoder and the brserve request decoder. CI runs this on every push;
 ## for a real fuzzing session raise FUZZTIME or run the targets
 ## individually.
 FUZZTIME ?= 30s
@@ -64,4 +64,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzReader$$' -fuzztime $(FUZZTIME) ./internal/brstate
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceReader$$' -fuzztime $(FUZZTIME) ./internal/btrace
 	$(GO) test -run '^$$' -fuzz 'FuzzLoadResult$$' -fuzztime $(FUZZTIME) ./internal/experiments
-	$(GO) test -run '^$$' -fuzz 'FuzzWarmupBlob$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz 'FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -19,9 +19,9 @@
 //   - trace-guard: every trace.Tracer.Emit call sits inside an
 //     `if tr.Enabled() { ... }` block, so runs with tracing disabled never
 //     pay for event construction.
-//   - snapshot-coverage: every exported field of a struct implementing
-//     SaveState(*brstate.Writer) is referenced by its codec files, so new
-//     mutable state cannot silently be dropped from snapshots.
+//   - snapshot-coverage: every exported or sim-path-mutated field of a
+//     struct T implementing CopyFrom(*T) is referenced by its copy files, so
+//     new mutable state cannot silently be dropped from warmup forks.
 //
 // Vetted findings are suppressed in place with a directive comment:
 //

@@ -5,26 +5,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // RuleSnapshotCoverage is the snapshot-coverage rule name.
 const RuleSnapshotCoverage = "snapshot-coverage"
 
-// SnapshotCoverage guards the brstate codecs: for every struct type that
-// implements SaveState(*brstate.Writer), each of its exported fields — and
-// each unexported field mutated anywhere on the simulation path (directly or
+// SnapshotCoverage guards the warmup-fork copies: for every struct type T
+// that implements CopyFrom(*T), each of its exported fields — and each
+// unexported field mutated anywhere on the simulation path (directly or
 // through call-graph-reachable helpers) — must be referenced somewhere in
-// the files that define the type's SaveState or LoadState methods (its codec
-// files). Adding a mutable field to a snapshot-implementing component
-// without serializing it would otherwise silently produce snapshots that
-// restore to a diverging simulation; intentionally-unserialized fields
-// (derived handles, scratch) are suppressed in place with
-// //brlint:allow snapshot-coverage.
+// the files that define T's CopyFrom method (its copy files). Adding a
+// mutable field to a forked component without copying it would otherwise
+// silently produce forks that diverge from a straight-through simulation;
+// intentionally-uncopied fields (wiring, derived handles, scratch) are
+// suppressed in place with //brlint:allow snapshot-coverage.
 func SnapshotCoverage() *Analyzer {
 	return &Analyzer{
 		Name: RuleSnapshotCoverage,
-		Doc:  "fields of SaveState-implementing structs mutated on the sim path must be referenced by their codec",
+		Doc:  "fields of CopyFrom-implementing structs mutated on the sim path must be referenced by their copy",
 		Run:  runSnapshotCoverage,
 	}
 }
@@ -43,8 +41,8 @@ func runSnapshotCoverage(prog *Program) []Diagnostic {
 
 // simPathMutatedFields collects every struct field assigned, incremented or
 // address-taken inside a function on (or call-graph-reachable from) the
-// simulation path. These are the fields whose values can change between
-// snapshot and restore.
+// simulation path. These are the fields whose values a warmup run can
+// change before a fork copies it.
 func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 	g := prog.CallGraph()
 	reach := g.Reachable(simPathRoots(g))
@@ -101,26 +99,23 @@ func simPathMutatedFields(prog *Program) map[*types.Var]bool {
 }
 
 func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]bool) []Diagnostic {
-	// codecFiles maps each snapshot-implementing named type to the files
-	// holding its SaveState/LoadState methods.
-	codecFiles := make(map[*types.Named][]*ast.File)
+	// copyFiles maps each CopyFrom-implementing named type to the files
+	// holding its CopyFrom method.
+	copyFiles := make(map[*types.Named][]*ast.File)
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			if fd.Name.Name != "SaveState" && fd.Name.Name != "LoadState" {
+			if fd.Name.Name != "CopyFrom" {
 				continue
 			}
 			named := receiverNamed(pkg, fd)
-			if named == nil {
+			if named == nil || !copiesFromSelf(pkg, fd, named) {
 				continue
 			}
-			if fd.Name.Name == "SaveState" && !savesToBrstate(pkg, fd) {
-				continue
-			}
-			files := codecFiles[named]
+			files := copyFiles[named]
 			seen := false
 			for _, f := range files {
 				if f == file {
@@ -129,7 +124,7 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 				}
 			}
 			if !seen {
-				codecFiles[named] = append(files, file)
+				copyFiles[named] = append(files, file)
 			}
 		}
 	}
@@ -146,7 +141,7 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 		if !ok {
 			continue
 		}
-		files, ok := codecFiles[named]
+		files, ok := copyFiles[named]
 		if !ok {
 			continue
 		}
@@ -165,14 +160,14 @@ func snapshotCoveragePkg(prog *Program, pkg *Package, mutated map[*types.Var]boo
 				diags = append(diags, Diagnostic{
 					Pos:  prog.Position(f.Pos()),
 					Rule: RuleSnapshotCoverage,
-					Message: fmt.Sprintf("%s.%s implements SaveState but its exported field %s is never referenced by the codec; serialize it or suppress with //brlint:allow %s",
+					Message: fmt.Sprintf("%s.%s implements CopyFrom but its exported field %s is never referenced by the copy; copy it or suppress with //brlint:allow %s",
 						pkg.Types.Name(), named.Obj().Name(), f.Name(), RuleSnapshotCoverage),
 				})
 			case mutated[f]:
 				diags = append(diags, Diagnostic{
 					Pos:  prog.Position(f.Pos()),
 					Rule: RuleSnapshotCoverage,
-					Message: fmt.Sprintf("%s.%s implements SaveState but its field %s, mutated on the sim path, is never referenced by the codec; serialize it or suppress with //brlint:allow %s",
+					Message: fmt.Sprintf("%s.%s implements CopyFrom but its field %s, mutated on the sim path, is never referenced by the copy; copy it or suppress with //brlint:allow %s",
 						pkg.Types.Name(), named.Obj().Name(), f.Name(), RuleSnapshotCoverage),
 				})
 			}
@@ -198,9 +193,9 @@ func receiverNamed(pkg *Package, fd *ast.FuncDecl) *types.Named {
 	return named
 }
 
-// savesToBrstate reports whether a SaveState method has the brstate.Saver
-// shape: exactly one parameter of type *brstate.Writer.
-func savesToBrstate(pkg *Package, fd *ast.FuncDecl) bool {
+// copiesFromSelf reports whether a CopyFrom method has the fork-copy shape:
+// exactly one parameter, a pointer to the receiver's own type.
+func copiesFromSelf(pkg *Package, fd *ast.FuncDecl, named *types.Named) bool {
 	obj, ok := pkg.Info.Defs[fd.Name].(*types.Func)
 	if !ok {
 		return false
@@ -210,15 +205,12 @@ func savesToBrstate(pkg *Package, fd *ast.FuncDecl) bool {
 		return false
 	}
 	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)
-	if !ok {
-		return false
-	}
-	return strings.HasSuffix(ptr.Elem().String(), "brstate.Writer")
+	return ok && types.Identical(ptr.Elem(), named)
 }
 
 // fieldsReferenced collects every field of named selected anywhere in the
-// given files (the codec files: helper save/load functions beside the
-// methods count as codec coverage).
+// given files (the copy files: helper functions beside the method count as
+// copy coverage).
 func fieldsReferenced(pkg *Package, named *types.Named, files []*ast.File) map[string]bool {
 	referenced := make(map[string]bool)
 	for _, file := range files {

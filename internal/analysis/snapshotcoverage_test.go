@@ -5,38 +5,23 @@ import (
 	"testing"
 )
 
-// snapshotFixture builds a fake brstate package plus one component package
-// under test.
+// snapshotFixture builds one component package under test.
 func snapshotFixture(t *testing.T, src string) *Program {
 	t.Helper()
-	return loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-type Reader struct{}
-func (r *Reader) U64() uint64 { return 0 }
-func (r *Reader) Err() error  { return nil }
-`},
-		},
-		fixturePkg{
-			path:  "repro/internal/comp",
-			files: map[string]string{"comp.go": src},
-		},
-	)
+	return loadFixture(t, fixturePkg{
+		path:  "repro/internal/comp",
+		files: map[string]string{"comp.go": src},
+	})
 }
 
 func TestSnapshotCoverageFlagsUnserializedExportedField(t *testing.T) {
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
 type Unit struct {
 	Counter uint64
 	Skipped uint64
 	hidden  uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
-func (u *Unit) LoadState(r *brstate.Reader) error { u.Counter = r.U64(); return r.Err() }
+func (u *Unit) CopyFrom(src *Unit) { u.Counter = src.Counter }
 `)
 	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
 	if len(diags) != 1 {
@@ -48,30 +33,31 @@ func (u *Unit) LoadState(r *brstate.Reader) error { u.Counter = r.U64(); return 
 }
 
 func TestSnapshotCoverageHelperInCodecFileCounts(t *testing.T) {
-	// A field serialized through a helper function in the codec file is
+	// A field copied through a helper function in the copy file is
 	// covered; unexported fields not mutated on the sim path are not
 	// checked.
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
 type Unit struct {
 	Counter uint64
 	scratch []uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { saveGuts(w, u) }
-func saveGuts(w *brstate.Writer, u *Unit) { w.U64(u.Counter) }
+func (u *Unit) CopyFrom(src *Unit) { copyGuts(u, src) }
+func copyGuts(dst, src *Unit) { dst.Counter = src.Counter }
 `)
 	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
 		t.Fatalf("want no diagnostics, got %v", diags)
 	}
 }
 
-func TestSnapshotCoverageIgnoresNonBrstateSaveState(t *testing.T) {
-	// SaveState with an unrelated signature is not a snapshot codec.
+func TestSnapshotCoverageIgnoresForeignCopyFrom(t *testing.T) {
+	// A CopyFrom taking anything but a pointer to its own receiver type is
+	// not a fork copy.
 	prog := snapshotFixture(t, `package comp
+type Other struct{ V uint64 }
 type Unit struct {
 	Counter uint64
 }
-func (u *Unit) SaveState(path string) {}
+func (u *Unit) CopyFrom(src *Other) {}
 `)
 	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
 		t.Fatalf("want no diagnostics, got %v", diags)
@@ -79,84 +65,63 @@ func (u *Unit) SaveState(path string) {}
 }
 
 func TestSnapshotCoverageReferenceOutsideCodecFileDoesNotCount(t *testing.T) {
-	prog := loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-`},
-		},
-		fixturePkg{
-			path: "repro/internal/comp",
-			files: map[string]string{
-				"comp.go": `package comp
+	prog := loadFixture(t, fixturePkg{
+		path: "repro/internal/comp",
+		files: map[string]string{
+			"comp.go": `package comp
 type Unit struct {
 	Counter uint64
 	Hits    uint64
 }
 func (u *Unit) Touch() { u.Hits++ }
 `,
-				"state.go": `package comp
-import "repro/internal/brstate"
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
+			"copy.go": `package comp
+func (u *Unit) CopyFrom(src *Unit) { u.Counter = src.Counter }
 `,
-			},
 		},
-	)
+	})
 	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
 	if len(diags) != 1 || !strings.Contains(diags[0], "Hits") {
-		t.Fatalf("mutation outside the codec file must not count as coverage, got %v", diags)
+		t.Fatalf("mutation outside the copy file must not count as coverage, got %v", diags)
 	}
 }
 
 func TestSnapshotCoverageAllowDirective(t *testing.T) {
 	prog := snapshotFixture(t, `package comp
-import "repro/internal/brstate"
 type Unit struct {
 	Counter uint64
-	// Derived handle, rebuilt at construction.
+	// Wiring, rebuilt at construction.
 	//brlint:allow snapshot-coverage
 	Handle uint64
 }
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
+func (u *Unit) CopyFrom(src *Unit) { u.Counter = src.Counter }
 `)
 	if diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()}); len(diags) != 0 {
 		t.Fatalf("allow directive should suppress the finding, got %v", diags)
 	}
 }
 
-// TestSnapshotCoverageFlagsMutatedUnexportedField: an unexported field
-// mutated by code on (or reachable from) the simulation path must be
-// serialized too — the old exported-only check missed exactly this.
+// TestSnapshotCoverageFlagsMutatedUnexportedField: a copied type that gains
+// an unexported field mutated by code on (or reachable from) the simulation
+// path must copy it too — the old exported-only check missed exactly this.
 func TestSnapshotCoverageFlagsMutatedUnexportedField(t *testing.T) {
-	prog := loadFixture(t,
-		fixturePkg{
-			path: "repro/internal/brstate",
-			files: map[string]string{"brstate.go": `package brstate
-type Writer struct{}
-func (w *Writer) U64(v uint64) {}
-`},
-		},
-		fixturePkg{
-			path: "repro/internal/core",
-			files: map[string]string{
-				"core.go": `package core
+	prog := loadFixture(t, fixturePkg{
+		path: "repro/internal/core",
+		files: map[string]string{
+			"core.go": `package core
 type Unit struct {
 	Counter uint64
-	clock   uint64 // mutated every cycle, missing from the codec
+	clock   uint64 // mutated every cycle, missing from the copy
 	scratch uint64 // never mutated on the sim path: not checked
 }
 func (u *Unit) Cycle() { u.tick() }
 func (u *Unit) tick()  { u.clock++ }
 `,
-				"state.go": `package core
-import "repro/internal/brstate"
-func (u *Unit) SaveState(w *brstate.Writer) { w.U64(u.Counter) }
+			"copy.go": `package core
+func (u *Unit) CopyFrom(src *Unit) { u.Counter = src.Counter }
 `,
-			},
 		},
-	)
+	})
 	diags := diagStrings(prog, []*Analyzer{SnapshotCoverage()})
 	if len(diags) != 1 {
 		t.Fatalf("want 1 diagnostic (clock), got %v", diags)

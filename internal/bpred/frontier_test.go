@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/program"
-	"repro/internal/simtest"
 )
 
 // ldbpTestProgram is the minimal load/compare/branch kernel LDBP covers:
@@ -28,8 +27,8 @@ func ldbpTestProgram() *program.Program {
 // TestLDBPLearnsStridedLoadBranch drives the retired stream of the test
 // kernel through ObserveRetire and checks that LDBP binds the branch to
 // its feeding load, learns the stride, gains override confidence, and
-// keeps its in-flight bookkeeping balanced — then round-trips the warm
-// tables through SaveState/LoadState.
+// keeps its in-flight bookkeeping balanced — then copies the warm tables
+// into a fresh LDBP with CopyFrom.
 func TestLDBPLearnsStridedLoadBranch(t *testing.T) {
 	const brPC, ldPC = 2, 0
 	l := NewLDBP(DefaultLDBPConfig(), NewTAGESCL64(), ldbpTestProgram())
@@ -87,13 +86,13 @@ func TestLDBPLearnsStridedLoadBranch(t *testing.T) {
 		t.Fatalf("in-flight count %d after releases, want 0", e.inflight)
 	}
 
-	// Round-trip the warm tables; inflight is transient and excluded.
+	// Copy the warm tables; inflight is transient and zeroed by the copy.
 	fresh := NewLDBP(DefaultLDBPConfig(), NewTAGESCL64(), ldbpTestProgram())
-	simtest.RoundTrip(t, "ldbp-warm", LDBPStateVersion, l.SaveState, fresh.LoadState, fresh.SaveState)
+	fresh.CopyFrom(l)
 	normalize(l)
 	normalize(fresh)
 	if !reflect.DeepEqual(l, fresh) {
-		t.Fatal("restored LDBP state differs from the saved one")
+		t.Fatal("copied LDBP state differs from the source")
 	}
 }
 

@@ -1,23 +1,22 @@
-// Package brstate is the simulator's uniform state-serialization layer: a
+// Package brstate is the simulator's on-disk serialization layer: a
 // deterministic little-endian binary codec with an explicit format version,
-// used to save and restore warmup snapshots and run-cache entries. There is
-// no reflection on the save/load path — each component enumerates its own
-// fields — so the codec stays fast enough for warmup snapshots and
-// byte-stable enough to content-address (identical state always encodes to
-// identical bytes; maps are emitted in sorted key order by their owners).
+// used for run-cache entries and .btr branch traces. There is no reflection
+// on the save/load path — each format enumerates its own fields — so the
+// codec stays byte-stable enough to content-address (identical values always
+// encode to identical bytes; maps are emitted in sorted key order by their
+// owners).
 //
-// Layout. A snapshot is an envelope (magic, format version) followed by
-// named sections. Each section carries its own component version and a
-// length prefix, so a reader can verify it consumed exactly the payload and
-// skip sections it does not know:
+// Layout. A blob is an envelope (magic, format version) followed by named
+// sections. Each section carries its own payload version and a length
+// prefix, so a reader can verify it consumed exactly the payload:
 //
 //	"BRST" | u32 format | sections... | "TSRB"
 //	section: string name | u32 version | u64 length | payload
 //
 // Versioning policy: FormatVersion covers the envelope and primitive
-// encodings; each component bumps its own section version when its payload
+// encodings; each format bumps its own section version when its payload
 // layout changes. A loader rejects mismatched versions rather than guessing
-// (snapshots are cheap to regenerate; silent misdecoding is not).
+// (cache entries are cheap to regenerate; silent misdecoding is not).
 package brstate
 
 import (
@@ -27,26 +26,13 @@ import (
 )
 
 // FormatVersion is the envelope/primitive-encoding version. Bump it when the
-// codec itself (not a component payload) changes incompatibly.
+// codec itself (not a section payload) changes incompatibly.
 const FormatVersion = 1
 
 const (
 	magicOpen  = "BRST"
 	magicClose = "TSRB"
 )
-
-// Saver is implemented by components that can serialize their mutable state.
-// Configuration and derived fields are not saved: a loader reconstructs the
-// component from the same configuration first, then restores mutable state.
-type Saver interface {
-	SaveState(w *Writer)
-}
-
-// Loader restores state previously written by the matching SaveState into an
-// identically-configured component.
-type Loader interface {
-	LoadState(r *Reader) error
-}
 
 // Writer serializes primitives into a growing buffer. Write methods never
 // fail; the buffer is handed off with Bytes.
@@ -62,7 +48,7 @@ func NewWriter() *Writer {
 	return w
 }
 
-// Bytes terminates the envelope and returns the encoded snapshot. The
+// Bytes terminates the envelope and returns the encoded blob. The
 // Writer must not be used afterwards.
 func (w *Writer) Bytes() []byte {
 	w.buf = append(w.buf, magicClose...)
@@ -81,12 +67,6 @@ func (w *Writer) Bool(v bool) {
 	}
 }
 
-// I8 writes a signed byte.
-func (w *Writer) I8(v int8) { w.U8(uint8(v)) }
-
-// U16 writes a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
-
 // U32 writes a little-endian uint32.
 func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 
@@ -95,9 +75,6 @@ func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf,
 
 // I64 writes a little-endian int64.
 func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
-
-// Int writes an int as 64 bits.
-func (w *Writer) Int(v int) { w.I64(int64(v)) }
 
 // F64 writes a float64 by bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
@@ -114,7 +91,7 @@ func (w *Writer) String(s string) {
 	w.buf = append(w.buf, s...)
 }
 
-// Len writes a slice/map length (for the matching Reader.Len check).
+// Len writes a slice/map length (read back with LenAny or LenBounded).
 func (w *Writer) Len(n int) { w.U64(uint64(n)) }
 
 // Section writes one named, versioned, length-prefixed section whose payload
@@ -129,9 +106,9 @@ func (w *Writer) Section(name string, version uint32, fn func(*Writer)) {
 	binary.LittleEndian.PutUint64(w.buf[lenAt:], uint64(len(w.buf)-start))
 }
 
-// Reader decodes a snapshot produced by a Writer. Errors are sticky: after
+// Reader decodes a blob produced by a Writer. Errors are sticky: after
 // the first failure every read returns zero values and Err reports the
-// failure, so component loaders can decode unconditionally and check once.
+// failure, so loaders can decode unconditionally and check once.
 type Reader struct {
 	buf []byte
 	off int
@@ -201,18 +178,6 @@ func (r *Reader) U8() uint8 {
 // Bool reads a bool.
 func (r *Reader) Bool() bool { return r.U8() != 0 }
 
-// I8 reads a signed byte.
-func (r *Reader) I8() int8 { return int8(r.U8()) }
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
 // U32 reads a little-endian uint32.
 func (r *Reader) U32() uint32 {
 	b := r.take(4)
@@ -233,9 +198,6 @@ func (r *Reader) U64() uint64 {
 
 // I64 reads a little-endian int64.
 func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Int reads an int written by Writer.Int.
-func (r *Reader) Int() int { return int(r.I64()) }
 
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
@@ -259,23 +221,8 @@ func (r *Reader) String() string {
 	return string(b)
 }
 
-// Len reads a length written by Writer.Len and checks it equals want,
-// failing the Reader otherwise. Components with construction-time sizing use
-// this to reject snapshots from differently-configured instances.
-func (r *Reader) Len(want int) bool {
-	n := r.U64()
-	if r.err != nil {
-		return false
-	}
-	if int(n) != want {
-		r.fail("length %d, component configured for %d", n, want)
-		return false
-	}
-	return true
-}
-
 // LenAny reads a length with no expectation (for owner-sized collections
-// such as maps and pages). Every element of a serialized collection
+// such as maps and slices). Every element of a serialized collection
 // occupies at least one payload byte, so a length exceeding the bytes left
 // in the buffer can only come from corrupt input; it fails the Reader
 // instead of flowing into a huge allocation downstream.

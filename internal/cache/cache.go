@@ -70,14 +70,14 @@ type Cache struct {
 
 	// tr is the structured event tracer (nil when tracing is off);
 	// trUnit identifies this level on the trace timeline. Tracer wiring is
-	// re-attached by the machine builder, not the codec.
+	// re-attached by the machine builder, not copied.
 	tr     *trace.Tracer //brlint:allow snapshot-coverage
 	trUnit uint64        //brlint:allow snapshot-coverage
 
 	// Counters: hits, misses, evictions, writebacks, pendingHits.
 	C *stats.Counters
 	// Ctr holds dense handles into C for the per-access events; see
-	// stats.Counter. The values live in C, which the codec serializes.
+	// stats.Counter. The values live in C, which CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr CacheCounters
 }
@@ -387,13 +387,13 @@ type StreamPrefetcher struct {
 	degree   int
 	below    MemLevel // level that sources prefetched data (DRAM)
 	// fill is hierarchy wiring (the LLC), re-attached by the machine
-	// builder, not the codec.
+	// builder, not copied.
 	fill    *Cache //brlint:allow snapshot-coverage
 	lineOff uint
 	clock   uint64
 	C       *stats.Counters
 	// prefetches is the dense handle for the per-issue counter; the value
-	// lives in C, which the codec serializes.
+	// lives in C, which CopyFrom copies.
 	prefetches stats.Counter //brlint:allow snapshot-coverage
 }
 

@@ -21,7 +21,7 @@ type TLB struct {
 
 	C *stats.Counters
 	// Dense handles for the per-translate events; the values live in C,
-	// which the codec serializes.
+	// which CopyFrom copies.
 	hits, misses, pendingHits stats.Counter //brlint:allow snapshot-coverage
 }
 

@@ -25,7 +25,7 @@ type BranchStat struct {
 // Core is the cycle-level out-of-order processor.
 type Core struct {
 	// cfg and the wired units below are construction-time configuration,
-	// rebuilt by the machine builder before a snapshot is loaded into it.
+	// rebuilt by the machine builder before a warmup fork copies into it.
 	cfg Config
 	src InstrSource
 	fe  *frontend
@@ -57,18 +57,18 @@ type Core struct {
 	haltRetired     bool
 
 	// fetchDisabled suspends fetch while Drain empties the pipeline ahead
-	// of a snapshot; snapshots are only taken after a drain, where it has
-	// been reset, so the codec never needs it.
+	// of a warmup fork; forks are only copied after a drain, where it has
+	// been reset, so CopyFrom never needs it.
 	fetchDisabled bool //brlint:allow snapshot-coverage
 
-	// Tracer wiring is re-attached by the machine builder, not the codec.
+	// Tracer wiring is re-attached by the machine builder, not copied.
 	tracer Tracer        //brlint:allow snapshot-coverage
 	tr     *trace.Tracer //brlint:allow snapshot-coverage
 
 	// Stats.
 	C *stats.Counters
-	// Ctr holds dense handles into C; the values live in C, which the
-	// codec serializes.
+	// Ctr holds dense handles into C; the values live in C, which
+	// CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr      CoreCounters
 	Branches map[uint64]*BranchStat
@@ -87,8 +87,8 @@ type Core struct {
 	resolvedBuf []*DynUop //brlint:allow snapshot-coverage
 	squashBuf   []*DynUop //brlint:allow snapshot-coverage
 	// bsSlab is the BranchStat bump allocator: fresh zeroed chunks handed
-	// out by reslice, never recycled (entries live in Branches, which the
-	// codec serializes).
+	// out by reslice, never recycled (entries live in Branches, which
+	// CopyFrom copies).
 	bsSlab []BranchStat //brlint:allow snapshot-coverage
 }
 

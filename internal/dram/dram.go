@@ -69,11 +69,11 @@ type DRAM struct {
 	cfg Config
 	chs []channel
 	// tr is the structured event tracer (nil when tracing is off);
-	// wiring is re-attached by the machine builder, not the codec.
+	// wiring is re-attached by the machine builder, not copied.
 	tr *trace.Tracer //brlint:allow snapshot-coverage
 	C  *stats.Counters
 	// Ctr holds dense handles into C for the per-request events; the
-	// values live in C, which the codec serializes.
+	// values live in C, which CopyFrom copies.
 	//brlint:allow snapshot-coverage
 	Ctr DRAMCounters
 }

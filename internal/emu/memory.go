@@ -17,7 +17,7 @@ type Memory struct {
 	pages map[uint64]*[pageSize]byte
 	// slab amortizes page allocation: one backing array per 16 newly
 	// touched pages instead of one allocation per page. It is a free
-	// pool, not architectural state, so the codec skips it.
+	// pool, not architectural state, so CopyFrom skips it.
 	//brlint:allow snapshot-coverage
 	slab []([pageSize]byte)
 }

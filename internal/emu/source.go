@@ -1,7 +1,6 @@
 package emu
 
 import (
-	"repro/internal/brstate"
 	"repro/internal/isa"
 	"repro/internal/program"
 )
@@ -56,12 +55,3 @@ func (s *Source) Pos() uint64 { return 0 }
 
 // SetPos implements the stream-position recovery hook (no-op, see Pos).
 func (s *Source) SetPos(uint64) {}
-
-// SaveExtra implements the source snapshot hook. All architectural state
-// (registers, PC, memory) is owned by the core and memory snapshot sections,
-// so the execution-driven source contributes no bytes — which keeps the core
-// snapshot layout byte-identical to the pre-seam encoding.
-func (s *Source) SaveExtra(w *brstate.Writer) {}
-
-// LoadExtra implements the source snapshot hook (no bytes, see SaveExtra).
-func (s *Source) LoadExtra(r *brstate.Reader) error { return nil }

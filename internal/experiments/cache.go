@@ -119,22 +119,22 @@ func (s *Suite) execute(w *workloads.Workload, cfg sim.Config) (*sim.Result, err
 	return sim.Run(w, cfg)
 }
 
-// executeShared runs one point by forking the workload's shared warmup
-// snapshot: the warmup simulates at most once per (workload, warmup
-// partition of the config) across the whole suite — runner.warmup's
-// singleflight — and each point then restores the blob and simulates only
-// its measure phase. Exactly one noteExecuted per point, as in execute; the
+// executeShared runs one point by forking the workload's shared warmup: the
+// warmup simulates at most once per (workload, warmup partition of the
+// config) across the whole suite — runner.warmup's singleflight — and each
+// point then copies the drained machine and simulates only its measure
+// phase. Exactly one noteExecuted per point, as in execute; the
 // shared warmup is bookkeeping-free.
 func (s *Suite) executeShared(w *workloads.Workload, cfg sim.Config) (*sim.Result, error) {
 	warmKey := w.Name + "|" + sim.WarmupKey(cfg)
-	blob, err := s.runner.warmup(warmKey, func() ([]byte, error) {
+	warm, err := s.runner.warmup(warmKey, func() (*sim.Warm, error) {
 		return sim.WarmupSnapshot(w, cfg)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("shared warmup: %w", err)
 	}
 	s.runner.noteExecuted()
-	return sim.RunFromWarmup(w, cfg, blob)
+	return sim.RunFromWarmup(w, cfg, warm)
 }
 
 // atomicWrite writes b to path via a temp file in the same directory and a

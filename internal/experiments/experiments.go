@@ -358,7 +358,7 @@ func (s *Suite) simConfig(v variant, instrs uint64) sim.Config {
 		BR:        v.br,
 		Warmup:    s.opts.Warmup,
 		MaxInstrs: instrs,
-		// Warmup sharing forks from blobs only WarmupBarrier mode produces.
+		// Warmup sharing forks machines only WarmupBarrier mode drains.
 		WarmupBarrier: s.opts.ShareWarmup,
 	}
 }

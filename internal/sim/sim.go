@@ -260,7 +260,7 @@ type Result struct {
 
 // machine bundles one wired simulation: workload, hierarchy, core and the
 // optional runahead system. Run builds one and drives it from reset;
-// RunFromWarmup builds one and restores a warmup blob into it.
+// RunFromWarmup builds one and copies a Warm template into it.
 type machine struct {
 	w    *workloads.Workload
 	cfg  Config
@@ -331,7 +331,7 @@ func Run(w *workloads.Workload, cfg Config) (*Result, error) {
 	}
 	// In WarmupBarrier mode the runahead system attaches here, at the
 	// drained boundary; the boundary snapshot then sees it at zero state,
-	// exactly as a run forked from a warmup blob does.
+	// exactly as a run forked from a Warm does.
 	m.attachBR()
 	boundary := snapshot(m.c, m.sys, m.hier)
 	if tr := cfg.Trace; tr.Enabled() {

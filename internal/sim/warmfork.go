@@ -6,29 +6,24 @@ import (
 	"strings"
 
 	"repro/internal/bpred"
-	"repro/internal/brstate"
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/dram"
-	"repro/internal/emu"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
-// Warmup-snapshot forking. A warmup blob captures the machine at the
-// warmup/measure boundary of a WarmupBarrier-mode run — before the Branch
-// Runahead system attaches — so one warmup serves every measure config that
-// agrees on the warmup partition of Config. Two guards keep sharing honest:
-// statically, brlint's config-partition rule proves warmup-phase code never
-// reads a `brphase:"measure"` field; dynamically, the blob carries the
-// WarmupKey of the config that produced it and RunFromWarmup refuses a blob
-// whose key differs from the restoring config's.
-const warmupBlobVersion = 1
+// Warmup forking. A Warm holds the machine drained at the warmup/measure
+// boundary of a WarmupBarrier-mode run — before the Branch Runahead system
+// attaches — so one warmup serves every measure config that agrees on the
+// warmup partition of Config. Two guards keep sharing honest: statically,
+// brlint's config-partition rule proves warmup-phase code never reads a
+// `brphase:"measure"` field; dynamically, a Warm carries the WarmupKey of
+// the config that produced it and RunFromWarmup refuses a config whose key
+// differs.
 
 // WarmupKey returns a deterministic fingerprint of the warmup partition of
 // cfg: every field tagged `brphase:"warmup"`, rendered field-by-field. Two
 // configs with equal keys reach bit-identical warmup boundaries in
-// WarmupBarrier mode and may share one warmup snapshot.
+// WarmupBarrier mode and may share one Warm.
 func WarmupKey(cfg Config) string {
 	v := reflect.ValueOf(cfg)
 	t := v.Type()
@@ -57,7 +52,7 @@ func WarmupKey(cfg Config) string {
 	return b.String()
 }
 
-// shareable reports whether cfg may participate in warmup-snapshot sharing.
+// shareable reports whether cfg may participate in warmup sharing.
 func shareable(cfg Config) error {
 	if !cfg.WarmupBarrier {
 		return fmt.Errorf("sim: warmup sharing requires WarmupBarrier mode")
@@ -69,180 +64,113 @@ func shareable(cfg Config) error {
 	return nil
 }
 
+// Warm is a machine drained at the warmup/measure boundary, the template
+// RunFromWarmup forks. Forks only read it, so one Warm serves any number of
+// forks, in sequence or concurrently; the template itself never runs again.
+type Warm struct {
+	m   *machine
+	key string // WarmupKey of the config that produced m
+}
+
 // WarmupSnapshot drives w from reset to the warmup/measure boundary under
-// cfg (which must be in WarmupBarrier mode) and returns the serialized
-// boundary state. The blob restores under any config whose WarmupKey equals
-// cfg's, regardless of its measure-only fields.
-func WarmupSnapshot(w *workloads.Workload, cfg Config) ([]byte, error) {
+// cfg (which must be in WarmupBarrier mode) and returns a copy of the
+// drained machine. It forks under any config whose WarmupKey equals cfg's,
+// regardless of its measure-only fields.
+func WarmupSnapshot(w *workloads.Workload, cfg Config) (*Warm, error) {
 	if err := shareable(cfg); err != nil {
 		return nil, err
 	}
 	m, err := newMachine(w, cfg)
 	if err != nil {
 		return nil, err
-	}
-	saver, ok := m.bp.(brstate.Saver)
-	if !ok {
-		return nil, fmt.Errorf("sim: predictor %s does not support snapshots", m.bp.Name())
 	}
 	if err := m.warmup(); err != nil {
 		return nil, err
 	}
-	wtr := brstate.NewWriter()
-	wtr.Section("warmmeta", warmupBlobVersion, func(w *brstate.Writer) {
-		w.String(m.w.Name)
-		w.String(WarmupKey(m.cfg))
-	})
-	m.saveComponentSections(wtr, saver)
-	return wtr.Bytes(), nil
+	// Keep a fresh copy rather than m: m's pipeline buffers still point into
+	// the micro-op slabs its warmup filled, tens of MB no fork reads.
+	t, err := newMachine(w, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := t.copyFrom(m); err != nil {
+		return nil, err
+	}
+	return &Warm{m: t, key: WarmupKey(cfg)}, nil
 }
 
-// restoreWarmup builds a fresh machine under cfg and restores a
-// WarmupSnapshot blob into it, applying both runtime guards (workload and
-// warmup-key match) and the codec's sticky error checks. The blob is
-// untrusted input — it came off disk — so every failure mode must surface
-// here as an error, never a panic (FuzzWarmupBlob drives this path with
-// mutated blobs).
-func restoreWarmup(w *workloads.Workload, cfg Config, blob []byte) (*machine, error) {
+// RunFromWarmup forks warm into a fresh machine and runs the measure phase
+// under cfg, producing a Result bit-identical to a straight-through Run of
+// the same config. The runtime guard refuses a Warm of another workload or
+// of a config whose warmup-tagged fields differ.
+func RunFromWarmup(w *workloads.Workload, cfg Config, warm *Warm) (*Result, error) {
 	if err := shareable(cfg); err != nil {
 		return nil, err
+	}
+	if name := warm.m.w.Name; name != w.Name {
+		return nil, fmt.Errorf("sim %s: warmup is for workload %q", w.Name, name)
+	}
+	if key := WarmupKey(cfg); key != warm.key {
+		return nil, fmt.Errorf("sim %s: warmup key %q does not match config key %q (a warmup-tagged field differs)",
+			w.Name, warm.key, key)
 	}
 	m, err := newMachine(w, cfg)
 	if err != nil {
 		return nil, err
 	}
-	loader, ok := m.bp.(brstate.Loader)
-	if !ok {
-		return nil, fmt.Errorf("sim: predictor %s does not support snapshots", m.bp.Name())
-	}
-	r, err := brstate.NewReader(blob)
-	if err != nil {
-		return nil, fmt.Errorf("sim %s: warmup blob: %w", w.Name, err)
-	}
-	var metaErr error
-	r.Section("warmmeta", warmupBlobVersion, func(r *brstate.Reader) {
-		wl := r.String()
-		key := r.String()
-		if r.Err() != nil {
-			return
-		}
-		switch {
-		case wl != m.w.Name:
-			metaErr = fmt.Errorf("blob is for workload %q, not %q", wl, m.w.Name)
-		case key != WarmupKey(m.cfg):
-			metaErr = fmt.Errorf("blob warmup key %q does not match config key %q (a warmup-tagged field differs)",
-				key, WarmupKey(m.cfg))
-		}
-	})
-	if err = r.Err(); err == nil {
-		err = metaErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sim %s: warmup blob: %w", w.Name, err)
-	}
-	l := &sectionLoader{r: r}
-	m.loadComponentSections(l, loader)
-	if l.err != nil {
-		return nil, fmt.Errorf("sim %s: warmup blob: %w", w.Name, l.err)
-	}
-	return m, nil
-}
-
-// RunFromWarmup restores a WarmupSnapshot blob into a fresh machine and
-// runs the measure phase under cfg, producing a Result bit-identical to a
-// straight-through Run of the same config. The runtime guard re-derives the
-// warmup key and refuses blobs from a config whose warmup-tagged fields
-// differ.
-func RunFromWarmup(w *workloads.Workload, cfg Config, blob []byte) (*Result, error) {
-	m, err := restoreWarmup(w, cfg, blob)
-	if err != nil {
+	if err := m.copyFrom(warm.m); err != nil {
 		return nil, err
 	}
-	// The blob predates the boundary attach; install the runahead system now
-	// and take the boundary snapshot exactly as Run does after its warmup.
+	// The template predates the boundary attach; install the runahead
+	// system now and take the boundary snapshot exactly as Run does after
+	// its warmup.
 	m.attachBR()
 	boundary := snapshot(m.c, m.sys, m.hier)
 	return m.measure(boundary)
 }
 
-// predictorStateVersion is the "bpred" section version for predictor kind k.
-func predictorStateVersion(k PredictorKind) uint32 {
-	switch k {
-	case PredBimodal:
-		return bpred.BimodalStateVersion
-	case PredGshare:
-		return bpred.GshareStateVersion
-	case PredPerceptron:
-		return bpred.PerceptronStateVersion
-	case PredTournament:
-		return bpred.TournamentStateVersion
-	case PredLDBP:
-		return bpred.LDBPStateVersion
-	case PredBullseye:
-		return bpred.BullseyeStateVersion
+// copyFrom copies every simulated component's state from the drained src,
+// built under the same warmup partition, into the freshly-built m. Fresh
+// wiring plus a state copy leaves no pointer to re-wire. The runahead system
+// is not among the components: the template is taken before it attaches.
+func (m *machine) copyFrom(src *machine) error {
+	if err := copyPredictor(m.bp, src.bp); err != nil {
+		return err
+	}
+	m.c.Memory().CopyFrom(src.c.Memory())
+	m.c.CopyFrom(src.c)
+	m.hier.ICache.CopyFrom(src.hier.ICache)
+	m.hier.DCache.CopyFrom(src.hier.DCache)
+	m.hier.L2.CopyFrom(src.hier.L2)
+	if m.hier.DTLB != nil {
+		m.hier.DTLB.CopyFrom(src.hier.DTLB)
+	}
+	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
+		d.CopyFrom(src.hier.Mem.(*dram.DRAM))
+	}
+	return nil
+}
+
+// copyPredictor copies src's state into dst. Equal warmup keys imply equal
+// predictor kinds, so src has dst's concrete type.
+func copyPredictor(dst, src bpred.Predictor) error {
+	switch d := dst.(type) {
+	case *bpred.TAGESCL:
+		d.CopyFrom(src.(*bpred.TAGESCL))
+	case *bpred.Bimodal:
+		d.CopyFrom(src.(*bpred.Bimodal))
+	case *bpred.Gshare:
+		d.CopyFrom(src.(*bpred.Gshare))
+	case *bpred.Perceptron:
+		d.CopyFrom(src.(*bpred.Perceptron))
+	case *bpred.Tournament:
+		d.CopyFrom(src.(*bpred.Tournament))
+	case *bpred.LDBP:
+		d.CopyFrom(src.(*bpred.LDBP))
+	case *bpred.Bullseye:
+		d.CopyFrom(src.(*bpred.Bullseye))
 	default:
-		return bpred.TAGESCLStateVersion
+		return fmt.Errorf("sim: predictor %s does not support warmup forking", dst.Name())
 	}
-}
-
-// saveComponentSections writes one section per simulated component. The
-// runahead system is not among them: warmup blobs are taken before it
-// attaches.
-func (m *machine) saveComponentSections(w *brstate.Writer, saver brstate.Saver) {
-	w.Section("mem", emu.MemoryStateVersion, m.c.Memory().SaveState)
-	w.Section("core", core.StateVersion, m.c.SaveState)
-	w.Section("bpred", predictorStateVersion(m.cfg.Predictor), saver.SaveState)
-	w.Section("l1i", cache.CacheStateVersion, m.hier.ICache.SaveState)
-	w.Section("l1d", cache.CacheStateVersion, m.hier.DCache.SaveState)
-	w.Section("l2", cache.CacheStateVersion, m.hier.L2.SaveState)
-	if pf := m.hier.DCache.Prefetcher(); pf != nil {
-		w.Section("pf", cache.PrefetcherStateVersion, pf.SaveState)
-	}
-	if m.hier.DTLB != nil {
-		w.Section("dtlb", cache.TLBStateVersion, m.hier.DTLB.SaveState)
-	}
-	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
-		w.Section("dram", dram.StateVersion, d.SaveState)
-	}
-}
-
-// sectionLoader threads a sticky error through sequential section loads.
-type sectionLoader struct {
-	r   *brstate.Reader
-	err error
-}
-
-func (l *sectionLoader) load(name string, version uint32, ld func(*brstate.Reader) error) {
-	if l.err != nil {
-		return
-	}
-	var inner error
-	l.r.Section(name, version, func(r *brstate.Reader) { inner = ld(r) })
-	if secErr := l.r.Err(); secErr != nil {
-		l.err = secErr
-	} else {
-		l.err = inner
-	}
-	if l.err != nil {
-		l.err = fmt.Errorf("sim: snapshot section %q: %w", name, l.err)
-	}
-}
-
-// loadComponentSections restores the sections saveComponentSections wrote.
-func (m *machine) loadComponentSections(l *sectionLoader, loader brstate.Loader) {
-	l.load("mem", emu.MemoryStateVersion, m.c.Memory().LoadState)
-	l.load("core", core.StateVersion, m.c.LoadState)
-	l.load("bpred", predictorStateVersion(m.cfg.Predictor), loader.LoadState)
-	l.load("l1i", cache.CacheStateVersion, m.hier.ICache.LoadState)
-	l.load("l1d", cache.CacheStateVersion, m.hier.DCache.LoadState)
-	l.load("l2", cache.CacheStateVersion, m.hier.L2.LoadState)
-	if pf := m.hier.DCache.Prefetcher(); pf != nil {
-		l.load("pf", cache.PrefetcherStateVersion, pf.LoadState)
-	}
-	if m.hier.DTLB != nil {
-		l.load("dtlb", cache.TLBStateVersion, m.hier.DTLB.LoadState)
-	}
-	if d, ok := m.hier.Mem.(*dram.DRAM); ok {
-		l.load("dram", dram.StateVersion, d.LoadState)
-	}
+	return nil
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/runahead"
@@ -19,9 +20,9 @@ func mustWorkload(t *testing.T, name string) *workloads.Workload {
 	return w
 }
 
-// forkCfg is the WarmupBarrier-mode config the fork tests share: small
-// enough to keep the matrix fast, BR-enabled so the deferred boundary attach
-// is exercised.
+// forkCfg is the WarmupBarrier-mode config the fork tests share, small
+// enough to keep them fast. A non-nil br exercises the deferred boundary
+// attach.
 func forkCfg(br *runahead.Config) Config {
 	cfg := DefaultConfig()
 	cfg.Warmup = 20_000
@@ -31,11 +32,17 @@ func forkCfg(br *runahead.Config) Config {
 	return cfg
 }
 
-// TestForkEqualsStraightThrough forks measure configs from one shared warmup
-// blob and requires each forked Result to deep-equal the straight-through
-// Run of the identical config — for every quick-suite workload, including a
-// fork whose measure partition (budget and BR config) differs from the
-// config that produced the blob.
+// predictorKinds lists every PredictorKind newPredictor builds.
+var predictorKinds = []PredictorKind{PredTage64, PredTage80, PredMTage, PredBimodal, PredGshare,
+	PredPerceptron, PredTournament, PredLDBP, PredBullseye}
+
+// TestForkEqualsStraightThrough forks configs from one shared Warm and
+// requires each forked Result to deep-equal the straight-through Run of the
+// identical config. On every quick-suite workload the TAGE baseline forks
+// both the config that produced the Warm and one whose measure partition
+// (budget and BR config) differs. On mcf_17 every other predictor, on both
+// front-ends, forks too, so every predictor's CopyFrom and the trace
+// source's stream position are exercised.
 func TestForkEqualsStraightThrough(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -43,68 +50,143 @@ func TestForkEqualsStraightThrough(t *testing.T) {
 	for _, name := range []string{"mcf_17", "leela_17", "bfs"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			mini := runahead.Mini()
-			base := forkCfg(&mini)
-			blob, err := WarmupSnapshot(mustWorkload(t, name), base)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			big := runahead.Big()
-			other := forkCfg(&big)
-			other.MaxInstrs = 25_000
-			if WarmupKey(base) != WarmupKey(other) {
-				t.Fatalf("measure-only edits changed the warmup key:\n%q\n%q",
-					WarmupKey(base), WarmupKey(other))
-			}
-
-			for _, cfg := range []Config{base, other} {
-				straight, err := Run(mustWorkload(t, name), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				forked, err := RunFromWarmup(mustWorkload(t, name), cfg, blob)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(straight, forked) {
-					t.Errorf("forked run diverged from straight-through:\nstraight: %+v\nforked:   %+v",
-						straight, forked)
+			for _, pk := range predictorKinds {
+				for _, fe := range []FrontEndKind{FEExec, FETrace} {
+					full := pk == PredTage64 && fe == FEExec
+					if name != "mcf_17" && !full {
+						continue
+					}
+					t.Run(configName(Config{Predictor: pk, FrontEnd: fe}), func(t *testing.T) {
+						if full {
+							mini, big := runahead.Mini(), runahead.Big()
+							base := forkCfg(&mini)
+							other := forkCfg(&big)
+							other.MaxInstrs = 25_000
+							forkMatchesStraight(t, name, base, other)
+							return
+						}
+						// The other predictor and front-end cells fork the
+						// predictor alone at a quarter of the budget: enough
+						// to train every predictor, and cheap enough for
+						// make race.
+						cfg := forkCfg(nil)
+						cfg.Predictor, cfg.FrontEnd = pk, fe
+						cfg.Warmup /= 4
+						cfg.MaxInstrs /= 4
+						forkMatchesStraight(t, name, cfg)
+					})
 				}
 			}
 		})
 	}
 }
 
-// TestRunFromWarmupRejectsMismatch exercises the runtime guard: a blob must
-// be refused when restored into a config whose warmup-tagged fields differ,
-// or into a different workload.
+// forkMatchesStraight forks every config from one Warm of workload name,
+// taken under cfgs[0], and compares each with its straight-through Run.
+func forkMatchesStraight(t *testing.T, name string, cfgs ...Config) {
+	w := mustWorkload(t, name)
+	if cfgs[0].FrontEnd == FETrace {
+		w = recordedWorkload(t, w, cfgs[0])
+	}
+	warm, err := WarmupSnapshot(w, cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range cfgs {
+		if WarmupKey(cfg) != WarmupKey(cfgs[0]) {
+			t.Fatalf("measure-only edits changed the warmup key:\n%q\n%q",
+				WarmupKey(cfgs[0]), WarmupKey(cfg))
+		}
+		straight, err := Run(w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forked, err := RunFromWarmup(w, cfg, warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(straight, forked) {
+			t.Errorf("forked run diverged from straight-through:\nstraight: %+v\nforked:   %+v",
+				straight, forked)
+		}
+	}
+}
+
+// TestForkIndependence forks one Warm twice in sequence and twice
+// concurrently: every fork must equal the straight-through run, so no fork
+// may write into the template or share mutable state with another fork. A
+// slice or page shared between forks also fails this test under -race. bfs
+// stores into memory during its measure phase, so shared pages show.
+func TestForkIndependence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	mini := runahead.Mini()
+	cfg := forkCfg(&mini)
+	cfg.FrontEnd = FETrace
+	w := recordedWorkload(t, mustWorkload(t, "bfs"), cfg)
+	warm, err := WarmupSnapshot(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	straight, err := Run(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	forks := make([]*Result, 4)
+	errs := make([]error, 4)
+	for i := 0; i < 2; i++ {
+		forks[i], errs[i] = RunFromWarmup(w, cfg, warm)
+	}
+	var wg sync.WaitGroup
+	for i := 2; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			forks[i], errs[i] = RunFromWarmup(w, cfg, warm)
+		}(i)
+	}
+	wg.Wait()
+	for i, res := range forks {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(straight, res) {
+			t.Errorf("fork %d diverged from straight-through:\nstraight: %+v\nforked:   %+v", i, straight, res)
+		}
+	}
+}
+
+// TestRunFromWarmupRejectsMismatch exercises the runtime guard: a Warm must
+// be refused when forked under a config whose warmup-tagged fields differ,
+// or for a different workload.
 func TestRunFromWarmupRejectsMismatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	mini := runahead.Mini()
 	base := forkCfg(&mini)
-	blob, err := WarmupSnapshot(mustWorkload(t, "mcf_17"), base)
+	warm, err := WarmupSnapshot(mustWorkload(t, "mcf_17"), base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm := base
-	warm.Warmup = 25_000
-	if _, err := RunFromWarmup(mustWorkload(t, "mcf_17"), warm, blob); err == nil ||
+	longer := base
+	longer.Warmup = 25_000
+	if _, err := RunFromWarmup(mustWorkload(t, "mcf_17"), longer, warm); err == nil ||
 		!strings.Contains(err.Error(), "warmup key") {
 		t.Errorf("differing Warmup accepted: err=%v", err)
 	}
 
 	core := base
 	core.Core.ROBSize /= 2
-	if _, err := RunFromWarmup(mustWorkload(t, "mcf_17"), core, blob); err == nil ||
+	if _, err := RunFromWarmup(mustWorkload(t, "mcf_17"), core, warm); err == nil ||
 		!strings.Contains(err.Error(), "warmup key") {
 		t.Errorf("differing core config accepted: err=%v", err)
 	}
 
-	if _, err := RunFromWarmup(mustWorkload(t, "leela_17"), base, blob); err == nil ||
+	if _, err := RunFromWarmup(mustWorkload(t, "leela_17"), base, warm); err == nil ||
 		!strings.Contains(err.Error(), "workload") {
 		t.Errorf("wrong workload accepted: err=%v", err)
 	}

@@ -1,20 +1,14 @@
 // Package simtest holds test helpers shared across the simulator's
-// packages: table-cell parsing and the save/load/save round-trip harness
-// every component's snapshot codec is pinned with.
+// packages: table-cell parsing and deep-equality assertions.
 //
-// The package deliberately imports only the brstate leaf, never sim or the
-// components themselves, so in-package tests anywhere in the module
-// (including emu, which workloads now transitively imports via btrace) can
-// use it without import cycles.
+// The package deliberately imports no simulator package, so in-package
+// tests anywhere in the module can use it without import cycles.
 package simtest
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
-
-	"repro/internal/brstate"
 )
 
 // ParseF parses a rendered table cell as a float64 or fails the test.
@@ -33,38 +27,4 @@ func RequireDeepEqual(t *testing.T, label string, want, got any) {
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("%s: mismatch\nwant %+v\ngot  %+v", label, want, got)
 	}
-}
-
-// RoundTrip pins one component's snapshot codec: save serializes a driven
-// instance, load restores the blob into a fresh identically-configured one,
-// and resave serializes the fresh instance — which must be byte-identical,
-// proving every serialized field restored exactly. Returns the blob so
-// callers can run further checks (truncation, tamper).
-func RoundTrip(t *testing.T, name string, version uint32,
-	save func(*brstate.Writer), load func(*brstate.Reader) error, resave func(*brstate.Writer)) []byte {
-	t.Helper()
-	w := brstate.NewWriter()
-	w.Section(name, version, save)
-	blob := w.Bytes()
-
-	r, err := brstate.NewReader(blob)
-	if err != nil {
-		t.Fatalf("%s: read snapshot: %v", name, err)
-	}
-	var loadErr error
-	r.Section(name, version, func(r *brstate.Reader) { loadErr = load(r) })
-	if err := r.Err(); err != nil {
-		t.Fatalf("%s: decode snapshot: %v", name, err)
-	}
-	if loadErr != nil {
-		t.Fatalf("%s: load snapshot: %v", name, loadErr)
-	}
-
-	w2 := brstate.NewWriter()
-	w2.Section(name, version, resave)
-	if blob2 := w2.Bytes(); !bytes.Equal(blob, blob2) {
-		t.Fatalf("%s: snapshot is not byte-stable across save/load/save (%d vs %d bytes)",
-			name, len(blob), len(blob2))
-	}
-	return blob
 }

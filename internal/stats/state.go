@@ -6,38 +6,15 @@ import (
 	"repro/internal/brstate"
 )
 
-// stateVersion is the Counters snapshot payload version.
-const stateVersion = 1
-
-// SaveState implements brstate.Saver. Counters are written as sorted
-// (name, value) pairs so the encoding is independent of registration order.
-func (c *Counters) SaveState(w *brstate.Writer) {
-	names := c.Names()
-	w.Len(len(names))
-	for _, name := range names {
-		w.String(name)
-		w.U64(c.vals[c.idx[name]])
+// CopyFrom copies src's counter values into c by name. Counters absent from
+// c are registered as they are copied (registration is idempotent): a
+// lazily-registered counter may have fired in src but not yet in c, so the
+// two instances' index orders can differ.
+func (c *Counters) CopyFrom(src *Counters) {
+	for i, name := range src.names {
+		c.vals[c.slot(name)] = src.vals[i]
 	}
 }
-
-// LoadState implements brstate.Loader. Names absent from this instance are
-// registered on load (registration is idempotent), so a snapshot taken after
-// a lazily-registered counter first fired restores into a fresh instance
-// that has not reached that point yet.
-func (c *Counters) LoadState(r *brstate.Reader) error {
-	n := r.LenAny()
-	for i := 0; i < n && r.Err() == nil; i++ {
-		name := r.String()
-		val := r.U64()
-		if r.Err() == nil {
-			c.vals[c.slot(name)] = val
-		}
-	}
-	return r.Err()
-}
-
-// StateVersion returns the Counters payload version for section envelopes.
-func (c *Counters) StateVersion() uint32 { return stateVersion }
 
 // Snapshot returns all counter values keyed by name (a detached copy).
 func (c *Counters) Snapshot() map[string]uint64 {
@@ -48,7 +25,7 @@ func (c *Counters) Snapshot() map[string]uint64 {
 	return out
 }
 
-// SortedNames returns names sorted; kept close to the codec so both agree.
+// sortedKeys returns m's keys sorted, the order SaveCounterMap writes.
 func sortedKeys(m map[string]uint64) []string {
 	keys := make([]string, 0, len(m))
 	// Key gathering is order-insensitive; the sort below restores determinism.
