@@ -39,9 +39,12 @@ test: build
 
 ## race: the packages with cross-structure pointer protocols, the
 ## parallel experiment runner and the job-queue server get an extra
-## race-detector pass.
+## race-detector pass. internal/sim alone takes over 8 minutes under the
+## race detector on a 2-CPU host, close to go test's default 10-minute
+## per-binary timeout, so the timeout is raised rather than left to the
+## speed of the runner.
 race:
-	$(GO) test -race ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
+	$(GO) test -race -timeout 20m ./internal/sim ./internal/runahead ./internal/experiments/... ./internal/server
 
 ## bench-json: record the simulator-throughput (execution-driven and
 ## trace-replay), parallel-suite, warm-cache, shared-warmup-sweep,

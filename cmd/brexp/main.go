@@ -124,8 +124,9 @@ func main() {
 		opts.SweepInstrs = *sweepInstrs
 	}
 	opts.Jobs = *jobs
-	opts.CacheDir = *cacheDir
-	opts.NoCache = *noCache
+	if !*noCache {
+		opts.CacheDir = *cacheDir
+	}
 	opts.ShareWarmup = *shareWarmup
 	if *verbose {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, line) }

@@ -11,7 +11,7 @@ import "repro/internal/isa"
 // components of their own, copied by the caller.
 func (c *Core) CopyFrom(src *Core) {
 	if len(src.rob) != 0 || len(src.fetchQ) != 0 || len(src.rs) != 0 ||
-		src.lsqCount != 0 || src.mispFetchedUnresolved != 0 ||
+		src.lsqCount != 0 || src.mispFetchedUnresolved != 0 || src.br.n != 0 ||
 		src.lastWriter != [isa.NumRegs]*DynUop{} {
 		panic("core: CopyFrom requires a drained source pipeline")
 	}

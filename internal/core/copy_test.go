@@ -63,7 +63,8 @@ func TestCoreRoundTrip(t *testing.T) {
 }
 
 // TestCopyFromRejectsLivePipeline pins the drain precondition: copying an
-// in-flight pipeline would silently drop speculative state.
+// in-flight pipeline would silently drop speculative state. A live branch
+// ring alone is enough to refuse.
 func TestCopyFromRejectsLivePipeline(t *testing.T) {
 	p, _, _ := sumBelowProgram(256, 7)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
@@ -73,11 +74,21 @@ func TestCopyFromRejectsLivePipeline(t *testing.T) {
 	if len(c.rob) == 0 && len(c.fetchQ) == 0 && len(c.rs) == 0 {
 		t.Fatal("short run left no in-flight micro-ops; the precondition is untested")
 	}
+	mustRefuseCopy(t, "live pipeline", c)
+
+	ringOnly := drainedCore(t)
+	ringOnly.br.push(brEntry{})
+	mustRefuseCopy(t, "live branch ring", ringOnly)
+}
+
+func mustRefuseCopy(t *testing.T, what string, src *Core) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CopyFrom of a live pipeline must panic")
+			t.Fatalf("CopyFrom of a %s must panic", what)
 		}
 	}()
+	p, _, _ := sumBelowProgram(256, 7)
 	fresh := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
-	fresh.CopyFrom(c)
+	fresh.CopyFrom(src)
 }

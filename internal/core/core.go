@@ -45,6 +45,10 @@ type Core struct {
 
 	lastWriter [isa.NumRegs]*DynUop
 	lsqCount   int
+	// br holds the checkpoints of the in-flight conditional branches. It
+	// is empty whenever CopyFrom runs, and which slot the next branch
+	// takes has no effect on results.
+	br brRing
 
 	// mispFetchedUnresolved counts in-flight branches whose predicted
 	// direction contradicts their fetch-time functional outcome; fetch is
@@ -206,6 +210,7 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 	c.issueBuf = make([]*DynUop, 0, cfg.RSSize)
 	c.resolvedBuf = make([]*DynUop, 0, cfg.ROBSize)
 	c.squashBuf = make([]*DynUop, cfg.ROBSize)
+	c.br = brRing{buf: make([]brEntry, cfg.ROBSize+cfg.FetchQSize)}
 	return c
 }
 
@@ -289,7 +294,8 @@ func (c *Core) skipDeadCycles() {
 // snapshot. After a successful drain the ROB, reservation stations, fetch
 // queue, LSQ, store overlay and wrong-path tracker are all empty, and the
 // rename table is cleared (its surviving entries could only be stale retired
-// producers). Fetch resumes on the next Cycle.
+// producers). The in-flight branch ring is empty too. Fetch resumes on the
+// next Cycle.
 func (c *Core) Drain() error {
 	c.fetchDisabled = true
 	defer func() { c.fetchDisabled = false }()
@@ -300,9 +306,9 @@ func (c *Core) Drain() error {
 		}
 		c.Cycle()
 	}
-	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 {
-		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d)",
-			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores))
+	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 || c.br.n != 0 {
+		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d branches=%d)",
+			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores), c.br.n)
 	}
 	c.lastWriter = [isa.NumRegs]*DynUop{}
 	c.issueBuf = c.issueBuf[:0]
@@ -361,7 +367,7 @@ func (c *Core) retire() {
 			c.ext.Retired(c.now, d)
 		}
 		if d.IsCondBr {
-			c.releaseSnaps(d)
+			c.popBranch(d)
 		}
 		if d.U.Op == isa.OpHalt {
 			c.haltRetired = true
@@ -405,7 +411,7 @@ func (c *Core) retireBranch(d *DynUop) {
 			bs.DCECorrect++
 		}
 	}
-	c.bp.Commit(d.U.PC, d.Res.Taken, d.TagePred, d.PredInfo)
+	c.bp.Commit(d.U.PC, d.Res.Taken, d.TagePred, c.br.buf[d.BrID].info)
 }
 
 // -------------------------------------------------------------- complete --
@@ -432,33 +438,6 @@ func (c *Core) complete() {
 			continue
 		}
 		c.resolveBranch(d)
-	}
-}
-
-// releaseSnaps returns d's predictor and extension checkpoints to their
-// free lists, exactly once (fields are nilled so a later squash of an
-// already-released branch is harmless). Called when d can no longer be
-// recovered to: at retire or when d itself is squashed.
-func (c *Core) releaseSnaps(d *DynUop) {
-	if d.bpSnap != nil {
-		c.bp.Release(d.bpSnap)
-		d.bpSnap = nil
-	}
-	if d.PredInfo != nil {
-		c.bp.ReleaseInfo(d.PredInfo)
-		d.PredInfo = nil
-	}
-	if d.extSnap != nil {
-		if c.ext != nil {
-			c.ext.ReleaseCheckpoint(d.extSnap)
-		}
-		d.extSnap = nil
-	}
-	if d.ExtData != nil {
-		if c.ext != nil {
-			c.ext.ReleaseUopData(d.ExtData)
-		}
-		d.ExtData = nil
 	}
 }
 
@@ -521,7 +500,6 @@ func (c *Core) recoverAt(d *DynUop) {
 				c.lsqCount--
 			}
 			c.releaseWP(e)
-			c.releaseSnaps(e)
 			e.State = StSquashed
 			c.trace("squash", e)
 		}
@@ -529,10 +507,10 @@ func (c *Core) recoverAt(d *DynUop) {
 	// Squash the entire fetch queue (it is younger than any ROB entry).
 	for _, e := range c.fetchQ {
 		c.releaseWP(e)
-		c.releaseSnaps(e)
 		e.State = StSquashed
 	}
 	c.fetchQ = c.fetchQ[:0]
+	c.squashBranchesAfter(d)
 	// Drop squashed reservation-station entries (in place, order kept).
 	live, nl := c.rs[:0], 0
 	for _, e := range c.rs {
@@ -557,11 +535,12 @@ func (c *Core) recoverAt(d *DynUop) {
 	if d.Res.Taken {
 		target = d.Res.Target
 	}
-	c.fe.recover(d.feSnap, target, d.Seq)
-	c.bp.Restore(d.bpSnap)
+	e := &c.br.buf[d.BrID]
+	c.fe.recover(e.fe, target, d.Seq)
+	c.bp.Restore(e.snap)
 	c.bp.OnFetch(d.U.PC, d.Res.Taken)
 	if c.ext != nil {
-		c.ext.Restore(c.now, d.extSnap)
+		c.ext.Restore(c.now, d)
 	}
 	c.fetchStallUntil = c.now + c.cfg.RedirectPenalty
 	c.curFetchLine = ^uint64(0)
@@ -792,14 +771,11 @@ func (d *DynUop) PredOrActualTaken() bool {
 }
 
 func (c *Core) fetchCondBranch(pc uint64) *DynUop {
-	// Order matters: the prediction and all checkpoints must be taken
-	// against pre-branch state, and the extension checkpoint before the
-	// extension consumes a prediction-queue slot.
-	bpSnap := c.bp.Checkpoint()
-	var extSnap interface{}
-	if c.ext != nil {
-		extSnap = c.ext.Checkpoint()
-	}
+	// Order matters: the prediction and the predictor checkpoint must be
+	// taken against pre-branch state. The extension checkpoints its own
+	// state inside FetchCondBranch, before it consumes a prediction-queue
+	// slot.
+	snap := c.bp.Checkpoint()
 	wrongPath := c.mispFetchedUnresolved > 0
 
 	basePred, info := c.bp.Predict(pc)
@@ -807,20 +783,14 @@ func (c *Core) fetchCondBranch(pc uint64) *DynUop {
 	if d == nil {
 		// No micro-op was produced, so nothing will ever retire or squash
 		// these checkpoints: hand them straight back.
-		c.bp.Release(bpSnap)
+		c.bp.Release(snap)
 		c.bp.ReleaseInfo(info)
-		if c.ext != nil && extSnap != nil {
-			c.ext.ReleaseCheckpoint(extSnap)
-		}
 		return nil
 	}
 	d.IsCondBr = true
 	d.WrongPath = wrongPath
 	d.TagePred = basePred
-	d.PredInfo = info
-	d.bpSnap = bpSnap
-	d.extSnap = extSnap
-	d.feSnap = c.fe.checkpoint()
+	d.BrID = c.br.push(brEntry{fe: c.fe.checkpoint(), snap: snap, info: info})
 
 	pred := basePred
 	if c.ext != nil {

@@ -170,13 +170,10 @@ type oracleExt struct{}
 func (oracleExt) FetchCondBranch(_ uint64, d *DynUop, _ bool) (bool, bool) {
 	return d.Res.Taken, true
 }
-func (oracleExt) Checkpoint() interface{}                      { return nil }
-func (oracleExt) Restore(uint64, interface{})                  {}
-func (oracleExt) ReleaseCheckpoint(interface{})                {}
+func (oracleExt) Restore(uint64, *DynUop)                      {}
 func (oracleExt) BranchResolved(uint64, *DynUop, *emu.RegFile) {}
 func (oracleExt) Flush(uint64, *DynUop, []*DynUop)             {}
 func (oracleExt) Retired(uint64, *DynUop)                      {}
-func (oracleExt) ReleaseUopData(interface{})                   {}
 func (oracleExt) Tick(uint64, TickInfo)                        {}
 func (oracleExt) Idle() bool                                   { return true }
 

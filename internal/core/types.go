@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -152,17 +151,16 @@ type DynUop struct {
 	PredTaken bool
 	// UsedDCE marks predictions supplied by a Branch Runahead prediction
 	// queue instead of the baseline predictor.
-	UsedDCE  bool
-	PredInfo bpred.Info
-	bpSnap   bpred.Snapshot
-	feSnap   feCheckpoint
-	extSnap  interface{}
+	UsedDCE bool
 	// TagePred records what the baseline predictor said, even when it was
 	// overridden (needed for throttle-counter training).
 	TagePred bool
-	// ExtData is extension-private per-uop scratch (Branch Runahead stores
-	// the consumed prediction-queue slot reference here).
-	ExtData interface{}
+	// BrID names a conditional branch's entry in the core's ring of
+	// in-flight branches, which holds its recovery checkpoints. The id is
+	// reused once the branch retires or is squashed, so an extension may
+	// key per-branch state by it and overwrite that state at the next fetch
+	// with the same id.
+	BrID uint32
 
 	// Scheduling state. prods is inline storage for the (at most three)
 	// in-flight producers rename resolves; nprods is the live count.
@@ -194,18 +192,14 @@ func (d *DynUop) Done(now uint64) bool {
 type Extension interface {
 	// FetchCondBranch may override the baseline prediction for a
 	// conditional branch at fetch. It returns the final prediction and
-	// whether it came from a prediction queue.
+	// whether it came from a prediction queue. An extension that needs a
+	// per-branch checkpoint for Restore records it here, keyed by d.BrID,
+	// before it changes any state.
 	FetchCondBranch(now uint64, d *DynUop, basePred bool) (pred bool, fromDCE bool)
-	// Checkpoint captures extension fetch-side state (prediction queue
-	// fetch pointers) before a conditional branch.
-	Checkpoint() interface{}
-	// Restore rewinds extension fetch-side state during a recovery at
-	// cycle now.
-	Restore(now uint64, snap interface{})
-	// ReleaseCheckpoint hands a checkpoint back once its branch retired
-	// or was squashed, so the extension can recycle the allocation. Each
-	// checkpoint is released at most once and never used afterwards.
-	ReleaseCheckpoint(snap interface{})
+	// Restore rewinds extension fetch-side state to what it was when the
+	// mispredicted branch cause was fetched, during a recovery at cycle
+	// now.
+	Restore(now uint64, cause *DynUop)
 	// BranchResolved is called when a conditional branch executes.
 	// correctRegs is the architectural register state at the branch (the
 	// live-in source for chain synchronization); it is only non-nil for
@@ -216,11 +210,6 @@ type Extension interface {
 	Flush(now uint64, cause *DynUop, squashed []*DynUop)
 	// Retired is called for every retired micro-op in program order.
 	Retired(now uint64, d *DynUop)
-	// ReleaseUopData hands back the ExtData attached to a micro-op once
-	// the core is done with it (retire or squash), so the extension can
-	// recycle the allocation. Each value is released at most once, after
-	// the Retired/Flush hook that observes it.
-	ReleaseUopData(data interface{})
 	// Tick advances the extension one cycle (the DCE executes here).
 	// info reports the core resources left over this cycle, which the
 	// Core-Only DCE variant borrows.

@@ -25,11 +25,6 @@ import (
 // different filenames and are simply recomputed.
 const resultStateVersion = 1
 
-// cacheEnabled reports whether the persistent cache participates in runs.
-func (s *Suite) cacheEnabled() bool {
-	return s.opts.CacheDir != "" && !s.opts.NoCache
-}
-
 // cacheID content-addresses one run: the suite key plus everything that
 // changes the bytes a run produces — the envelope format, the Result codec
 // version, and WarmupBarrier mode (whose boundary barrier and deferred BR
@@ -54,7 +49,7 @@ func (s *Suite) cachePath(key string, cfg sim.Config) string {
 // including unreadable, truncated, or version-skewed entries, which are
 // treated as absent and recomputed (the store below then overwrites them).
 func (s *Suite) cacheLoad(key string, cfg sim.Config) (*sim.Result, bool) {
-	if !s.cacheEnabled() {
+	if s.opts.CacheDir == "" {
 		return nil, false
 	}
 	blob, err := os.ReadFile(s.cachePath(key, cfg))
@@ -105,7 +100,7 @@ func encodeCacheEntry(key string, res *sim.Result) []byte {
 // rename), so a concurrent or interrupted writer can never leave a partial
 // entry behind a valid filename.
 func (s *Suite) cacheStore(key string, cfg sim.Config, res *sim.Result) error {
-	if !s.cacheEnabled() {
+	if s.opts.CacheDir == "" {
 		return nil
 	}
 	return atomicWrite(s.cachePath(key, cfg), encodeCacheEntry(key, res))

@@ -56,31 +56,6 @@ func TestWarmCacheExecutesNothing(t *testing.T) {
 	}
 }
 
-// TestNoCacheBypassesDisk pins that NoCache forces recomputation even over a
-// populated cache directory, and writes nothing new into it.
-func TestNoCacheBypassesDisk(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	dir := t.TempDir()
-	o := cacheTestOptions(dir)
-	cold := NewSuite(o)
-	if _, err := cold.run("mcf_17", vTage64(), o.Instrs); err != nil {
-		t.Fatal(err)
-	}
-	if n := cold.RunsExecuted(); n != 1 {
-		t.Fatalf("cold suite executed %d, want 1", n)
-	}
-	o.NoCache = true
-	bypass := NewSuite(o)
-	if _, err := bypass.run("mcf_17", vTage64(), o.Instrs); err != nil {
-		t.Fatal(err)
-	}
-	if n := bypass.RunsExecuted(); n != 1 {
-		t.Fatalf("NoCache suite executed %d simulations, want 1 (cache must be bypassed)", n)
-	}
-}
-
 // TestCorruptCacheEntryRecomputed pins the cache's failure mode: a
 // truncated entry is treated as a miss, recomputed, and overwritten with a
 // valid one.

@@ -50,9 +50,6 @@ type Options struct {
 	// suite invocations, which then execute zero simulations and render
 	// byte-identical tables. See cache.go and DESIGN.md §10.
 	CacheDir string
-	// NoCache disables the persistent cache (reads and writes) even when
-	// CacheDir is set — every point is recomputed from reset.
-	NoCache bool
 	// Interrupt, when non-nil, is polled at the start of every simulation
 	// point; a non-nil return aborts that point (and therefore the figure
 	// or run requesting it) with the returned error before any work —

@@ -204,18 +204,19 @@ func TestPredictionQueuePointers(t *testing.T) {
 	q.slot(1).value = false
 
 	// Checkpoint, consume two, restore: the fetch pointer must rewind.
-	cp := pqs.Checkpoint()
+	cp := make([]pqPos, cfg.NumQueues)
+	pqs.checkpoint(cp)
 	q.fetch = 2
-	pqs.Restore(cp)
+	pqs.restore(0, cp)
 	if q.fetch != 0 {
 		t.Fatalf("fetch pointer %d after restore, want 0", q.fetch)
 	}
 
 	// A reset invalidates outstanding checkpoints (generation bump).
-	cp2 := pqs.Checkpoint()
+	pqs.checkpoint(cp)
 	q.reset(1)
 	q.fetch = 5
-	pqs.Restore(cp2)
+	pqs.restore(0, cp)
 	if q.fetch != 5 {
 		t.Fatal("stale checkpoint restored across a reset")
 	}
@@ -344,5 +345,51 @@ func TestHBTBiasReanchor(t *testing.T) {
 		if pc == guard {
 			t.Fatal("re-anchored biased guard still in the AG list")
 		}
+	}
+}
+
+// TestPQSetEnsurePCZero covers the free-slot sentinel bug: a branch at
+// PC 0 is legal and its queue must not be mistaken for an unassigned one.
+func TestPQSetEnsurePCZero(t *testing.T) {
+	cfg := Mini()
+	s := NewPQSet(&cfg)
+
+	q0 := s.Ensure(0, 1)
+	if q0 == nil {
+		t.Fatal("Ensure(0) returned no queue")
+	}
+	if s.For(0) != q0 {
+		t.Fatal("For(0) does not find the PC-0 queue")
+	}
+
+	// Assign every remaining queue. None of these may steal the PC-0
+	// queue while unassigned queues exist.
+	for i := 1; i < cfg.NumQueues; i++ {
+		q := s.Ensure(uint64(i*64), uint64(i))
+		if q == q0 {
+			t.Fatalf("Ensure(%#x) reused the PC-0 queue as if free", i*64)
+		}
+	}
+	if s.For(0) != q0 || q0.branchPC != 0 || !q0.assigned {
+		t.Fatal("PC-0 queue lost after filling the set")
+	}
+	if got := s.Ensure(0, 100); got != q0 {
+		t.Fatal("Ensure(0) no longer returns the assigned queue")
+	}
+
+	// Force eviction of the PC-0 queue (it is the LRU after the loop
+	// above refreshed every other queue more recently... make it so
+	// explicitly) and check the map entry is actually removed.
+	q0.lastUse = 0
+	q0.active = false
+	evictor := s.Ensure(0x9999, 200)
+	if evictor != q0 {
+		t.Fatalf("expected the stale PC-0 queue to be the eviction victim")
+	}
+	if s.For(0) != nil {
+		t.Fatal("evicted PC-0 mapping still resolves")
+	}
+	if s.For(0x9999) != evictor {
+		t.Fatal("reassigned queue not reachable by its new PC")
 	}
 }

@@ -57,12 +57,6 @@ type PQSet struct {
 	queues []*Queue
 	byPC   map[uint64]*Queue
 
-	// cpPool recycles released fetch-pointer checkpoints; Checkpoint is
-	// called once per conditional-branch fetch, so pooling keeps that
-	// path allocation-free in steady state. A free list is never part of
-	// the architectural state.
-	cpPool []*pqCheckpoint
-
 	// tr is the structured event tracer (nil when tracing is off).
 	tr *trace.Tracer
 }
@@ -76,15 +70,6 @@ func NewPQSet(cfg *Config) *PQSet {
 	s.queues = make([]*Queue, cfg.NumQueues)
 	for i := range s.queues {
 		s.queues[i] = &Queue{slots: make([]pqSlot, cfg.QueueEntries)}
-	}
-	// Prefill the checkpoint pool to a typical in-flight branch count so
-	// the Checkpoint cold path rarely runs at all.
-	s.cpPool = make([]*pqCheckpoint, 0, 64)
-	for i := 0; i < 32; i++ {
-		s.cpPool = append(s.cpPool, &pqCheckpoint{
-			fetch: make([]uint64, len(s.queues)),
-			gen:   make([]uint64, len(s.queues)),
-		})
 	}
 	return s
 }
@@ -136,74 +121,44 @@ func (s *PQSet) Ensure(pc uint64, now uint64) *Queue {
 	return victim
 }
 
-// pqCheckpoint snapshots every queue's fetch pointer (taken at each
-// conditional branch fetch; restored on recovery). Generations guard
-// against queues that were reset or reassigned in between.
-type pqCheckpoint struct {
-	fetch []uint64
-	gen   []uint64
+// pqPos is one queue's fetch pointer and generation as a branch's
+// checkpoint records them (taken at each conditional branch fetch, restored
+// on recovery). The generation guards against queues that were reset or
+// reassigned in between.
+type pqPos struct {
+	fetch uint64
+	gen   uint64
 }
 
-// Checkpoint captures all fetch pointers, reusing a released checkpoint
-// when one is pooled.
-func (s *PQSet) Checkpoint() *pqCheckpoint {
-	var cp *pqCheckpoint
-	if last := len(s.cpPool) - 1; last >= 0 {
-		cp = s.cpPool[last]
-		s.cpPool[last] = nil
-		s.cpPool = s.cpPool[:last]
-	} else {
-		// Cold-path pool fill: runs once per pooled checkpoint beyond the
-		// prefill, then the object is recycled forever.
-		cp = &pqCheckpoint{ //brlint:allow hot-path-alloc
-			fetch: make([]uint64, len(s.queues)), //brlint:allow hot-path-alloc
-			gen:   make([]uint64, len(s.queues)), //brlint:allow hot-path-alloc
-		}
-	}
+// checkpoint records every queue's fetch pointer and generation into cp.
+func (s *PQSet) checkpoint(cp []pqPos) {
 	for i, q := range s.queues {
-		cp.fetch[i] = q.fetch
-		cp.gen[i] = q.gen
+		cp[i] = pqPos{fetch: q.fetch, gen: q.gen}
 	}
-	return cp
 }
 
-// Release returns a checkpoint to the pool once no in-flight branch can
-// restore to it. A checkpoint must be released at most once.
-func (s *PQSet) Release(cp *pqCheckpoint) {
-	if cp == nil {
-		return
-	}
-	// Pool growth is bounded by the in-flight branch count and amortizes
-	// to zero.
-	s.cpPool = append(s.cpPool, cp) //brlint:allow hot-path-alloc
-}
-
-// Restore rewinds fetch pointers to a checkpoint, reinserting previously
-// consumed predictions into their original queue positions.
-func (s *PQSet) Restore(cp *pqCheckpoint) { s.RestoreAt(0, cp) }
-
-// RestoreAt is Restore stamped with the recovery cycle: every queue whose
-// fetch pointer actually rewinds emits a pq_restore event.
-func (s *PQSet) RestoreAt(now uint64, cp *pqCheckpoint) {
-	if cp == nil {
-		return
-	}
+// restore rewinds fetch pointers to cp, reinserting previously consumed
+// predictions into their original queue positions. Every queue whose fetch
+// pointer actually rewinds emits a pq_restore event stamped with the
+// recovery cycle now.
+func (s *PQSet) restore(now uint64, cp []pqPos) {
 	for i, q := range s.queues {
-		if q.gen != cp.gen[i] {
+		if q.gen != cp[i].gen {
 			continue
 		}
-		if s.tr.Enabled() && q.fetch != cp.fetch[i] {
+		if s.tr.Enabled() && q.fetch != cp[i].fetch {
 			s.tr.Emit(trace.Event{
 				Cycle: now, PC: q.branchPC, Kind: trace.KindPQRestore,
-				Arg: cp.fetch[i], Val: q.fetch,
+				Arg: cp[i].fetch, Val: q.fetch,
 			})
 		}
-		q.fetch = cp.fetch[i]
+		q.fetch = cp[i].fetch
 	}
 }
 
-// slotRef identifies a consumed slot; stored on the DynUop that consumed it
-// so retire-side bookkeeping can find it.
+// slotRef identifies a consumed slot; kept in the consuming branch's row
+// so retire-side bookkeeping can find it. A nil q means the branch consumed
+// nothing (its PC has no queue).
 type slotRef struct {
 	q    *Queue
 	idx  uint64

@@ -38,12 +38,23 @@ func condBr(pc uint64, taken bool) *core.DynUop {
 	return d
 }
 
+// fetchBr passes d through the System's fetch hook under branch id id, as
+// the core does for every conditional branch it fetches (the core hands
+// out ids from its in-flight branch ring), and records the prediction on d
+// the way the core's fetch does.
+func fetchBr(s *System, now uint64, d *core.DynUop, id uint32) (pred, fromDCE bool) {
+	d.BrID = id
+	pred, fromDCE = s.FetchCondBranch(now, d, false)
+	d.PredTaken, d.UsedDCE = pred, fromDCE
+	return pred, fromDCE
+}
+
 // TestPQPointerOrderAcrossRecoveryFlush drives the System through the same
-// core.Extension hook sequence the core uses — checkpoint at each branch
-// fetch, restore on a recovery flush, retire-side bookkeeping — and asserts
-// DCE-push >= core-fetch >= core-retire at every step. The squashed branch
-// instances must re-consume the same slots with the same values after the
-// restore.
+// core.Extension hook sequence the core uses — a checkpoint at each branch
+// fetch, a restore on a recovery flush, retire-side bookkeeping — and
+// asserts DCE-push >= core-fetch >= core-retire at every step. The squashed
+// branch instances must re-consume the same slots with the same values
+// after the restore.
 func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 	s, mem := pqSystem()
 	const base = uint64(0x1000)
@@ -62,7 +73,9 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 	var regs emu.RegFile
 	regs.Set(isa.R1, base)
 	regs.Set(isa.R3, 0)
-	s.BranchResolved(0, condBr(7, true), &regs)
+	sync := condBr(7, true)
+	fetchBr(s, 0, sync, 0)
+	s.BranchResolved(0, sync, &regs)
 	q := s.pqs.For(7)
 	if q == nil {
 		t.Fatal("synchronization assigned no queue to the branch")
@@ -81,20 +94,21 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 		t.Fatalf("engine never ran ahead: alloc=%d", q.alloc)
 	}
 
-	// The core fetches four instances of the branch (indices 1..4), taking
-	// an extension checkpoint before each, exactly as the pipeline does.
-	type fetchedBr struct {
-		d    *core.DynUop
-		snap interface{}
-	}
-	var inflight []fetchedBr
+	// The core fetches four instances of the branch (indices 1..4), with
+	// ids following the sync branch's. An unrelated branch (no queue) sits
+	// between instances 1 and 2, so instance i has id i+1 from i = 2 on.
+	var inflight []*core.DynUop
+	older := condBr(0x99, false)
 	for i := 1; i <= 4; i++ {
-		snap := s.Checkpoint()
+		id := uint32(i)
+		if i >= 2 {
+			id++
+		}
+		if i == 2 {
+			fetchBr(s, now, older, 2)
+		}
 		d := condBr(7, pattern(i))
-		pred, fromDCE := s.FetchCondBranch(now, d, false)
-		d.TagePred = false
-		d.PredTaken = pred
-		d.UsedDCE = fromDCE
+		pred, fromDCE := fetchBr(s, now, d, id)
 		assertPQOrder(t, q, "fetch")
 		if !fromDCE {
 			t.Fatalf("instance %d not supplied by the prediction queue", i)
@@ -102,42 +116,39 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 		if pred != pattern(i) {
 			t.Fatalf("instance %d predicted %v, want %v", i, pred, pattern(i))
 		}
-		inflight = append(inflight, fetchedBr{d, snap})
+		inflight = append(inflight, d)
 	}
 	if q.fetch != 4 {
 		t.Fatalf("fetch pointer %d after four consumptions", q.fetch)
 	}
 
 	// The oldest instance retires; the retire pointer trails fetch.
-	s.Retired(now, inflight[0].d)
+	s.Retired(now, inflight[0])
 	assertPQOrder(t, q, "retire")
 	if q.retire != 1 {
 		t.Fatalf("retire pointer %d after first retirement", q.retire)
 	}
 
-	// Recovery flush: an older mispredicted branch squashes instances 2..4,
-	// restoring the checkpoint taken before instance 2 was fetched. The
-	// fetch pointer rewinds to 1 but must not drop below retire.
-	s.Restore(now, inflight[1].snap)
+	// Recovery flush: the older branch mispredicts and squashes instances
+	// 2..4, restoring the checkpoint taken when it was fetched. The fetch
+	// pointer rewinds to 1 but must not drop below retire.
+	s.Restore(now, older)
 	assertPQOrder(t, q, "restore")
 	if q.fetch != 1 {
 		t.Fatalf("fetch pointer %d after restore, want 1", q.fetch)
 	}
 
-	// The refetched instances re-consume the same slots, same values.
+	// The refetched instances re-consume the same slots, same values, under
+	// the ids the squash freed.
 	for i := 2; i <= 4; i++ {
 		d := condBr(7, pattern(i))
-		pred, fromDCE := s.FetchCondBranch(now, d, false)
-		d.TagePred = false
-		d.PredTaken = pred
-		d.UsedDCE = fromDCE
+		pred, fromDCE := fetchBr(s, now, d, uint32(i+1))
 		assertPQOrder(t, q, "refetch")
 		if !fromDCE || pred != pattern(i) {
 			t.Fatalf("refetched instance %d: pred=%v fromDCE=%v, want %v from queue",
 				i, pred, fromDCE, pattern(i))
 		}
-		ref := d.ExtData.(*slotRef)
-		if ref.idx != uint64(i-1) {
+		if ref := s.rows[d.BrID].ref; ref.idx != uint64(i-1) {
 			t.Fatalf("refetched instance %d consumed slot %d, want %d", i, ref.idx, i-1)
 		}
 		s.Retired(now, d)
@@ -154,8 +165,9 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 // TestPQLateSlotRefilledAcrossRecovery pins the paper's late-prediction
 // recovery path ("the already consumed slot will be filled in case there is
 // a recovery", §4.2): a slot consumed before the DCE fills it falls back to
-// the baseline prediction, and after the recovery rewinds fetch, the
-// refetched branch gets the now-filled value.
+// the baseline prediction. When an older branch's recovery squashes that
+// consumer, fetch rewinds past it, and the refetched instance gets the
+// now-filled value.
 func TestPQLateSlotRefilledAcrossRecovery(t *testing.T) {
 	s, _ := pqSystem()
 	q := s.pqs.Ensure(0x40, 0)
@@ -165,13 +177,16 @@ func TestPQLateSlotRefilledAcrossRecovery(t *testing.T) {
 	*q.slot(q.alloc) = pqSlot{}
 	q.alloc++
 
-	snap := s.Checkpoint()
+	// An older branch (no queue of its own) is in flight ahead of the
+	// consumer.
+	older := condBr(0x80, false)
+	fetchBr(s, 1, older, 0)
 	d := condBr(0x40, true)
-	pred, fromDCE := s.FetchCondBranch(1, d, false)
+	pred, fromDCE := fetchBr(s, 1, d, 1)
 	if fromDCE || pred {
 		t.Fatalf("unfilled slot supplied a prediction (pred=%v fromDCE=%v)", pred, fromDCE)
 	}
-	if ref := d.ExtData.(*slotRef); ref.cat != catLate {
+	if ref := s.rows[d.BrID].ref; ref.cat != catLate {
 		t.Fatalf("consumption category %v, want late", ref.cat)
 	}
 	if !q.slot(0).consumed {
@@ -179,16 +194,17 @@ func TestPQLateSlotRefilledAcrossRecovery(t *testing.T) {
 	}
 	assertPQOrder(t, q, "late fetch")
 
-	// The fallback mispredicted; recovery rewinds fetch. By refetch time the
-	// DCE has filled the slot, so the queue now supplies the outcome.
-	s.Restore(2, snap)
+	// The older branch mispredicts: its recovery squashes the consumer and
+	// rewinds fetch. By refetch time the DCE has filled the slot, so the
+	// queue now supplies the outcome.
+	s.Restore(2, older)
 	if q.fetch != 0 {
 		t.Fatalf("fetch pointer %d after recovery, want 0", q.fetch)
 	}
 	q.slot(0).filled = true
 	q.slot(0).value = true
 	d2 := condBr(0x40, true)
-	pred2, fromDCE2 := s.FetchCondBranch(2, d2, false)
+	pred2, fromDCE2 := fetchBr(s, 2, d2, 1)
 	if !fromDCE2 || !pred2 {
 		t.Fatalf("refilled slot not used after recovery (pred=%v fromDCE=%v)", pred2, fromDCE2)
 	}
@@ -208,7 +224,9 @@ func TestPQResyncInvalidatesCheckpoints(t *testing.T) {
 	var regs emu.RegFile
 	regs.Set(isa.R1, base)
 	regs.Set(isa.R3, 0)
-	s.BranchResolved(0, condBr(7, true), &regs)
+	sync := condBr(7, true)
+	fetchBr(s, 0, sync, 0)
+	s.BranchResolved(0, sync, &regs)
 	q := s.pqs.For(7)
 
 	now := uint64(1)
@@ -219,12 +237,9 @@ func TestPQResyncInvalidatesCheckpoints(t *testing.T) {
 		}
 	}
 
-	snap := s.Checkpoint()
 	d := condBr(7, true)
-	pred, fromDCE := s.FetchCondBranch(now, d, false)
+	pred, fromDCE := fetchBr(s, now, d, 1)
 	d.TagePred = true
-	d.PredTaken = pred
-	d.UsedDCE = fromDCE
 	if !fromDCE {
 		t.Fatal("queue did not supply the prediction")
 	}
@@ -240,9 +255,10 @@ func TestPQResyncInvalidatesCheckpoints(t *testing.T) {
 		t.Fatal("resynchronization did not bump the queue generation")
 	}
 
-	// Restoring the pre-resync checkpoint must be a no-op on this queue.
+	// Restoring the checkpoint taken at d's fetch, before the resync, must
+	// be a no-op on this queue.
 	fetchBefore := q.fetch
-	s.Restore(now, snap)
+	s.Restore(now, d)
 	if q.fetch != fetchBefore {
 		t.Fatalf("stale checkpoint rewound a resynchronized queue: fetch %d -> %d",
 			fetchBefore, q.fetch)

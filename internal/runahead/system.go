@@ -46,15 +46,23 @@ type System struct {
 	// tr is the structured event tracer (nil when tracing is off).
 	tr *trace.Tracer
 
-	// refPool recycles slot references released by the core via
-	// ReleaseUopData; refSlab amortizes the initial allocations. Free
-	// lists are never part of the architectural state.
-	refPool []*slotRef
-	refSlab []slotRef
+	// rows holds the state of each in-flight conditional branch, indexed
+	// by its core.DynUop.BrID. A row is written when its branch is fetched
+	// and overwritten when the core hands the id to a later branch, so
+	// nothing is ever released.
+	rows []brRow
 
 	// ext is the reusable chain extractor; pure scratch between
 	// extractions, so never part of the architectural state.
 	ext *extractor
+}
+
+// brRow is one in-flight conditional branch's runahead state: every
+// queue's fetch pointer before the branch consumed a slot, and the slot it
+// consumed.
+type brRow struct {
+	pos []pqPos
+	ref slotRef
 }
 
 // sysCounters are pre-registered handles for the prediction-accounting and
@@ -143,6 +151,9 @@ func (s *System) Chains() []*Chain { return s.cc.All() }
 // prediction queue with a filled slot, the DCE's outcome overrides the
 // baseline prediction.
 func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (bool, bool) {
+	row := s.row(d.BrID)
+	s.pqs.checkpoint(row.pos)
+	row.ref = slotRef{}
 	q := s.pqs.For(d.U.PC)
 	if q == nil {
 		return basePred, false
@@ -156,9 +167,8 @@ func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (boo
 		// passed, so runahead must exit for this branch until the next
 		// synchronization realigns it ("the size of each prediction queue
 		// also limits how far ahead (or behind) the DCE can be", §4.2).
-		ref := s.newSlotRef()
+		ref := &row.ref
 		ref.q, ref.gen, ref.cat = q, q.gen, catInactive
-		d.ExtData = ref
 		if q.active {
 			s.dce.DeactivateFamily(now, d.U.PC)
 		}
@@ -173,9 +183,8 @@ func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (boo
 	idx := q.fetch
 	q.fetch++
 	slot := q.slot(idx)
-	ref := s.newSlotRef()
+	ref := &row.ref
 	ref.q, ref.idx, ref.gen = q, idx, q.gen
-	d.ExtData = ref
 	pred, fromDCE := basePred, false
 	switch {
 	case !slot.filled:
@@ -200,53 +209,26 @@ func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (boo
 	return pred, fromDCE
 }
 
-// Checkpoint implements core.Extension.
-func (s *System) Checkpoint() interface{} { return s.pqs.Checkpoint() }
-
-// Restore implements core.Extension.
-func (s *System) Restore(now uint64, snap interface{}) {
-	if cp, ok := snap.(*pqCheckpoint); ok {
-		s.pqs.RestoreAt(now, cp)
+// row returns the row for branch id, growing the table on the first visits
+// to ids past its end. The core's ids stay below its ring size, so the
+// table stops growing there.
+func (s *System) row(id uint32) *brRow {
+	for int(id) >= len(s.rows) {
+		s.rows = append(s.rows, brRow{pos: make([]pqPos, len(s.pqs.queues))}) //brlint:allow hot-path-alloc
 	}
+	return &s.rows[id]
 }
 
-// ReleaseCheckpoint implements core.Extension: dead fetch-pointer
-// checkpoints go back to the PQSet's pool.
-func (s *System) ReleaseCheckpoint(snap interface{}) {
-	if cp, ok := snap.(*pqCheckpoint); ok {
-		s.pqs.Release(cp)
-	}
-}
-
-// newSlotRef pops a zeroed slot reference from the free pool, refilling
-// from an amortized slab when the pool is empty.
-func (s *System) newSlotRef() *slotRef {
-	if last := len(s.refPool) - 1; last >= 0 {
-		ref := s.refPool[last]
-		s.refPool[last] = nil
-		s.refPool = s.refPool[:last]
-		*ref = slotRef{}
-		return ref
-	}
-	if len(s.refSlab) == 0 {
-		// Amortized slab refill: one allocation per 64 new references;
-		// steady state recycles through the pool instead.
-		s.refSlab = make([]slotRef, 64) //brlint:allow hot-path-alloc
-	}
-	ref := &s.refSlab[0]
-	s.refSlab = s.refSlab[1:]
-	return ref
-}
-
-// ReleaseUopData implements core.Extension: the slot reference attached
-// to a conditional branch is recycled once the branch retires or is
-// squashed.
-func (s *System) ReleaseUopData(data interface{}) {
-	if ref, ok := data.(*slotRef); ok {
-		// Pool growth is bounded by the in-flight branch count and
-		// amortizes to zero.
-		s.refPool = append(s.refPool, ref) //brlint:allow hot-path-alloc
-	}
+// Restore implements core.Extension: every queue's fetch pointer rewinds to
+// where it stood when cause was fetched, before cause consumed its slot.
+//
+// Open finding (ROADMAP): cause itself is never fetched again, so the
+// rewind also hands cause's own slot to the next instance of its branch.
+// After a late or throttled consumption mispredicts (the cases where
+// BranchResolved keeps running ahead), each later instance reads its
+// predecessor's outcome until a divergence forces a resynchronization.
+func (s *System) Restore(now uint64, cause *core.DynUop) {
+	s.pqs.restore(now, s.rows[cause.BrID].pos)
 }
 
 // -------------------------------------------------------------- resolve --
@@ -258,15 +240,16 @@ func (s *System) ReleaseUopData(data interface{}) {
 // Not every misprediction tears the runahead state down. If fetch consumed
 // a slot that the DCE had not yet filled (a "late" prediction mispredicted
 // by the fallback TAGE), the recovery restores the fetch pointer and the
-// refetched branch will consume the same slot — by then filled ("the
+// next fetch of the branch consumes the same slot — by then filled ("the
 // already consumed slot will be filled in case there is a recovery",
-// §4.2). Synchronization is needed only when the DCE was absent for this
-// branch (inactive) or demonstrably wrong (divergence).
+// §4.2; see Restore for why that next fetch is a later instance here).
+// Synchronization is needed only when the DCE was absent for this branch
+// (inactive) or demonstrably wrong (divergence).
 func (s *System) BranchResolved(now uint64, d *core.DynUop, correctRegs *emu.RegFile) {
 	if correctRegs == nil {
 		return
 	}
-	if ref, ok := d.ExtData.(*slotRef); ok && ref.q.gen == ref.gen && ref.q.active {
+	if ref := &s.rows[d.BrID].ref; ref.q != nil && ref.q.gen == ref.gen && ref.q.active {
 		switch ref.cat {
 		case catLate, catThrottled:
 			slot := ref.q.slot(ref.idx)
@@ -345,7 +328,7 @@ func (s *System) Retired(now uint64, d *core.DynUop) {
 	}
 
 	// Prediction-queue retire-side bookkeeping.
-	if ref, ok := d.ExtData.(*slotRef); ok && !ref.counted && ref.q.gen == ref.gen {
+	if ref := &s.rows[d.BrID].ref; ref.q != nil && !ref.counted && ref.q.gen == ref.gen {
 		s.accountPrediction(now, ref, actual, d)
 	}
 
