@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet lint lint-human build test race bench-json fuzz-smoke
+.PHONY: check fmt vet lint lint-human build test race bench-json profile fuzz-smoke
 
 ## check: the full pre-PR gate. Everything below must pass before merging.
 check: fmt vet lint-human build test race
@@ -56,6 +56,17 @@ bench-json:
 	$(GO) test -bench 'BenchmarkBaselineSimSpeed|BenchmarkTraceReplaySpeed|BenchmarkRunaheadSimSpeed|BenchmarkSuiteParallelSpeedup|BenchmarkSweepWarmupShared|BenchmarkSuiteWarmCacheSpeedup|BenchmarkServeWarmRequest|BenchmarkFigure15$$' -run '^$$' -benchtime 3x . \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 	@cat $(BENCH_OUT)
+
+## profile: a CPU profile of the execution-driven simulator-throughput
+## benchmarks (baseline core, and the core with Mini Branch Runahead),
+## printed flat by `go tool pprof -top`. The profile and the test binary
+## pprof symbolizes it with stay in PROFILE_DIR, which is not committed.
+PROFILE_DIR ?= .profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench 'BenchmarkBaselineSimSpeed$$|BenchmarkRunaheadSimSpeed$$' -benchtime 10x \
+		-cpuprofile $(PROFILE_DIR)/cpu.pprof -o $(PROFILE_DIR)/repro.test .
+	$(GO) tool pprof -top -nodecount 30 $(PROFILE_DIR)/repro.test $(PROFILE_DIR)/cpu.pprof
 
 ## fuzz-smoke: a bounded pass over each native fuzz target — the brstate
 ## codec reader, the branch-trace decoder, the persistent-cache result

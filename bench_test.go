@@ -364,10 +364,10 @@ func BenchmarkRunaheadSimSpeed(b *testing.B) {
 
 // BenchmarkSimulation is the canonical hot-path benchmark: one Mini
 // Branch Runahead simulation with tracing disabled. It reports allocs/op
-// so the per-fetch checkpoint free-lists are held to account — the
-// steady-state simulation loop must not allocate per conditional-branch
-// fetch (remaining allocations are per-uop DynUop construction and
-// per-run setup).
+// so the core's fixed rings are held to account — micro-ops and branch
+// checkpoints are recycled, so the core does not allocate per fetched
+// micro-op or per conditional branch; the remaining allocations are
+// per-run setup and the runahead engine's chain installs and DCE work.
 func BenchmarkSimulation(b *testing.B) {
 	scale := workloads.SmallScale()
 	cfg := Mini()

@@ -58,11 +58,12 @@ func branchDenseProgram(n int, seed int64) (*program.Program, uint64, uint64) {
 
 // TestBranchRingBoundOnTinyMachine runs a branch-dense loop to halt on a
 // machine with an 8-entry ROB and a 4-entry fetch queue, with no extension
-// and with an extension that overrides every prediction. The ring is sized
-// ROBSize+FetchQSize and panics on overflow, so halting proves the bound
-// holds; the peak occupancy must exceed what the ROB alone could hold, so
-// the fetch-queue term of the bound is exercised. The drain afterwards
-// proves retire and recovery released every entry.
+// and with an extension that overrides every prediction. The micro-op ring
+// that holds the branch checkpoints is sized ROBSize+FetchQSize and panics
+// on overflow, so halting proves the bound holds; the peak number of
+// in-flight branches must exceed what the ROB alone could hold, so the
+// fetch-queue term of the bound is exercised. The drain afterwards proves
+// retire and recovery freed every slot.
 func TestBranchRingBoundOnTinyMachine(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ROBSize = 8
@@ -83,14 +84,14 @@ func TestBranchRingBoundOnTinyMachine(t *testing.T) {
 					t.Fatal("program did not halt")
 				}
 				c.Cycle()
-				peak = max(peak, c.br.n)
+				peak = max(peak, inFlightBranches(c))
 			}
 			if got := c.Memory().Read(resultAddr, 8); got != want {
 				t.Fatalf("computed %d, want %d", got, want)
 			}
-			t.Logf("peak ring occupancy %d of %d", peak, len(c.br.buf))
+			t.Logf("peak in-flight branches %d of %d slots", peak, len(c.uops.buf))
 			if peak <= cfg.ROBSize {
-				t.Fatalf("peak ring occupancy %d never exceeded ROBSize %d", peak, cfg.ROBSize)
+				t.Fatalf("peak in-flight branches %d never exceeded ROBSize %d", peak, cfg.ROBSize)
 			}
 			if tc.ext == nil && c.C.Get("recoveries") == 0 {
 				t.Fatal("no recoveries: the truncation path is untested")
@@ -102,13 +103,25 @@ func TestBranchRingBoundOnTinyMachine(t *testing.T) {
 	}
 }
 
-// TestDrainReportsLiveBranchRing pins that a ring entry left behind by a
-// retire or squash path that forgot to release it is drain residue.
+// inFlightBranches counts the conditional branches in c's micro-op ring,
+// each of which holds a checkpoint entry.
+func inFlightBranches(c *Core) int {
+	n := 0
+	for i := 0; i < c.uops.n; i++ {
+		if c.uops.at(i).IsCondBr {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDrainReportsLiveBranchRing pins that a branch left in the ring by a
+// retire or squash path that forgot to free its slot is drain residue.
 func TestDrainReportsLiveBranchRing(t *testing.T) {
 	c := drainedCore(t)
-	c.br.push(brEntry{})
+	c.uops.alloc().IsCondBr = true
 	err := c.Drain()
-	if err == nil || !strings.Contains(err.Error(), "branches=1") {
-		t.Fatalf("Drain with a live ring entry returned %v, want branch residue", err)
+	if err == nil || !strings.Contains(err.Error(), "uops=1") {
+		t.Fatalf("Drain with a live ring slot returned %v, want ring residue", err)
 	}
 }

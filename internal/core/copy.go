@@ -10,8 +10,8 @@ import "repro/internal/isa"
 // committed memory image, the branch predictor and the cache hierarchy are
 // components of their own, copied by the caller.
 func (c *Core) CopyFrom(src *Core) {
-	if len(src.rob) != 0 || len(src.fetchQ) != 0 || len(src.rs) != 0 ||
-		src.lsqCount != 0 || src.mispFetchedUnresolved != 0 || src.br.n != 0 ||
+	if len(src.rob) != 0 || len(src.fetchQ) != 0 || src.rsCount != 0 || src.uops.n != 0 ||
+		src.lsqCount != 0 || src.mispFetchedUnresolved != 0 ||
 		src.lastWriter != [isa.NumRegs]*DynUop{} {
 		panic("core: CopyFrom requires a drained source pipeline")
 	}

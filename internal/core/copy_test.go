@@ -50,7 +50,7 @@ func TestCoreRoundTrip(t *testing.T) {
 	simtest.RequireDeepEqual(t, "counters", c.C.Snapshot(), fresh.C.Snapshot())
 
 	// The copy's pipeline must be empty, exactly like the drained source.
-	if len(fresh.rob) != 0 || len(fresh.fetchQ) != 0 || len(fresh.rs) != 0 || fresh.lsqCount != 0 {
+	if len(fresh.rob) != 0 || len(fresh.fetchQ) != 0 || fresh.rsCount != 0 || fresh.lsqCount != 0 {
 		t.Fatal("copy left pipeline structures populated")
 	}
 
@@ -63,22 +63,22 @@ func TestCoreRoundTrip(t *testing.T) {
 }
 
 // TestCopyFromRejectsLivePipeline pins the drain precondition: copying an
-// in-flight pipeline would silently drop speculative state. A live branch
-// ring alone is enough to refuse.
+// in-flight pipeline would silently drop speculative state. A live slot in
+// the micro-op ring alone is enough to refuse.
 func TestCopyFromRejectsLivePipeline(t *testing.T) {
 	p, _, _ := sumBelowProgram(256, 7)
 	c := New(DefaultConfig(), p, bpred.NewTAGESCL64(), testHierarchy(), nil)
 	if _, err := c.Run(200); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.rob) == 0 && len(c.fetchQ) == 0 && len(c.rs) == 0 {
+	if len(c.rob) == 0 && len(c.fetchQ) == 0 && c.rsCount == 0 {
 		t.Fatal("short run left no in-flight micro-ops; the precondition is untested")
 	}
 	mustRefuseCopy(t, "live pipeline", c)
 
 	ringOnly := drainedCore(t)
-	ringOnly.br.push(brEntry{})
-	mustRefuseCopy(t, "live branch ring", ringOnly)
+	ringOnly.uops.alloc().IsCondBr = true
+	mustRefuseCopy(t, "live micro-op ring", ringOnly)
 }
 
 func mustRefuseCopy(t *testing.T, what string, src *Core) {

@@ -39,16 +39,27 @@ type Core struct {
 	now uint64
 	seq uint64
 
+	// uops holds every in-flight micro-op and each in-flight branch's
+	// checkpoints; fetchQ and rob are windows of pointers into it. It is
+	// empty whenever CopyFrom runs, and which slot the next micro-op takes
+	// has no effect on results.
+	uops   uopRing
 	fetchQ []*DynUop
 	rob    []*DynUop
-	rs     []*DynUop
+	// rsCount is the reservation-station occupancy: dispatched micro-ops
+	// not yet issued.
+	rsCount int
+	// ready and doneQ are the scheduler's event queues (sched.go). Both are
+	// empty whenever the ROB is, so after a Drain, and CopyFrom refuses a
+	// source with a live pipeline.
+	ready readyList //brlint:allow snapshot-coverage
+	doneQ doneQueue //brlint:allow snapshot-coverage
 
+	// lastWriter is the rename table. Retire clears the entries of the
+	// micro-op it frees and a recovery rebuilds the table from the
+	// surviving ROB, so it never points at a freed slot.
 	lastWriter [isa.NumRegs]*DynUop
 	lsqCount   int
-	// br holds the checkpoints of the in-flight conditional branches. It
-	// is empty whenever CopyFrom runs, and which slot the next branch
-	// takes has no effect on results.
-	br brRing
 
 	// mispFetchedUnresolved counts in-flight branches whose predicted
 	// direction contradicts their fetch-time functional outcome; fetch is
@@ -76,9 +87,6 @@ type Core struct {
 	//brlint:allow snapshot-coverage
 	Ctr      CoreCounters
 	Branches map[uint64]*BranchStat
-
-	// issueBuf is per-cycle scratch, empty between cycles.
-	issueBuf []*DynUop //brlint:allow snapshot-coverage
 
 	// dec is the decode cache: per-static-uop register lists, latency and
 	// the branch bit, precomputed at construction and read-only afterwards.
@@ -189,7 +197,6 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 	c := &Core{
 		cfg:      cfg,
 		src:      src,
-		fe:       newFrontend(src, cfg.FetchQSize+cfg.ROBSize),
 		bp:       bp,
 		hier:     hier,
 		ext:      ext,
@@ -197,6 +204,8 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 		Branches: make(map[uint64]*BranchStat),
 	}
 	c.Ctr = newCoreCounters(c.C)
+	c.uops = newUopRing(cfg.ROBSize + cfg.FetchQSize)
+	c.fe = newFrontend(src, &c.uops)
 	if obs, ok := bp.(bpred.RetireObserver); ok {
 		c.bpObs = obs
 	}
@@ -206,11 +215,10 @@ func NewWithSource(cfg Config, src InstrSource, bp bpred.Predictor, hier Hierarc
 	c.fetchQBuf = make([]*DynUop, 2*cfg.FetchQSize)
 	c.rob = c.robBuf[:0]
 	c.fetchQ = c.fetchQBuf[:0]
-	c.rs = make([]*DynUop, 0, cfg.RSSize)
-	c.issueBuf = make([]*DynUop, 0, cfg.RSSize)
+	c.ready = make(readyList, 0, cfg.RSSize)
+	c.doneQ = make(doneQueue, 0, cfg.ROBSize)
 	c.resolvedBuf = make([]*DynUop, 0, cfg.ROBSize)
 	c.squashBuf = make([]*DynUop, cfg.ROBSize)
-	c.br = brRing{buf: make([]brEntry, cfg.ROBSize+cfg.FetchQSize)}
 	return c
 }
 
@@ -260,7 +268,7 @@ func (c *Core) Run(maxRetired uint64) (uint64, error) {
 // those effects, so it is result-invariant (pinned by the skip-equivalence
 // test, and defeatable via Config.DisableCycleSkip).
 func (c *Core) skipDeadCycles() {
-	if c.cfg.DisableCycleSkip || len(c.rob) != 0 || len(c.rs) != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
+	if c.cfg.DisableCycleSkip || len(c.rob) != 0 || c.rsCount != 0 || len(c.fetchQ) != 0 || c.fetchDisabled {
 		return
 	}
 	if c.ext != nil && !c.ext.Idle() {
@@ -292,26 +300,23 @@ func (c *Core) skipDeadCycles() {
 // Drain suspends fetch and cycles the machine until every in-flight
 // micro-op has retired or been squashed: the barrier ahead of a warmup
 // snapshot. After a successful drain the ROB, reservation stations, fetch
-// queue, LSQ, store overlay and wrong-path tracker are all empty, and the
-// rename table is cleared (its surviving entries could only be stale retired
-// producers). The in-flight branch ring is empty too. Fetch resumes on the
-// next Cycle.
+// queue, LSQ, store overlay, wrong-path tracker and micro-op ring (with the
+// branch checkpoints it holds) are all empty, and so is the rename table,
+// whose entries retire and recovery clear. Fetch resumes on the next Cycle.
 func (c *Core) Drain() error {
 	c.fetchDisabled = true
 	defer func() { c.fetchDisabled = false }()
 	cycleCap := c.now + 1_000_000
-	for len(c.rob) > 0 || len(c.fetchQ) > 0 || len(c.rs) > 0 {
+	for len(c.rob) > 0 || len(c.fetchQ) > 0 {
 		if c.now > cycleCap {
 			return fmt.Errorf("core: drain did not converge by cycle %d (deadlock?)", c.now)
 		}
 		c.Cycle()
 	}
-	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 || c.br.n != 0 {
-		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d branches=%d)",
-			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores), c.br.n)
+	if c.lsqCount != 0 || c.mispFetchedUnresolved != 0 || len(c.fe.stores) != 0 || c.uops.n != 0 {
+		return fmt.Errorf("core: drained pipeline left residue (lsq=%d wrongPath=%d stores=%d uops=%d)",
+			c.lsqCount, c.mispFetchedUnresolved, len(c.fe.stores), c.uops.n)
 	}
-	c.lastWriter = [isa.NumRegs]*DynUop{}
-	c.issueBuf = c.issueBuf[:0]
 	return nil
 }
 
@@ -329,7 +334,7 @@ func (c *Core) Cycle() {
 	if c.ext != nil {
 		c.ext.Tick(c.now, TickInfo{
 			SpareIssueSlots: c.cfg.IssueWidth - issued,
-			SpareRS:         c.cfg.RSSize - len(c.rs),
+			SpareRS:         c.cfg.RSSize - c.rsCount,
 		})
 	}
 	c.now++
@@ -342,7 +347,7 @@ func (c *Core) Cycle() {
 func (c *Core) retire() {
 	for n := 0; n < c.cfg.RetireWidth && len(c.rob) > 0; n++ {
 		d := c.rob[0]
-		if !d.Done(c.now) {
+		if d.State != StDone {
 			return
 		}
 		c.rob = c.rob[1:]
@@ -367,8 +372,15 @@ func (c *Core) retire() {
 			c.ext.Retired(c.now, d)
 		}
 		if d.IsCondBr {
-			c.popBranch(d)
+			c.releaseBranch(d)
 		}
+		de := &c.dec[d.U.PC]
+		for _, r := range de.dsts[:de.ndst] {
+			if c.lastWriter[r] == d {
+				c.lastWriter[r] = nil
+			}
+		}
+		c.uops.popHead(d)
 		if d.U.Op == isa.OpHalt {
 			c.haltRetired = true
 			return
@@ -411,29 +423,32 @@ func (c *Core) retireBranch(d *DynUop) {
 			bs.DCECorrect++
 		}
 	}
-	c.bp.Commit(d.U.PC, d.Res.Taken, d.TagePred, c.br.buf[d.BrID].info)
+	c.bp.Commit(d.U.PC, d.Res.Taken, d.TagePred, c.uops.br[d.Slot].info)
 }
 
 // -------------------------------------------------------------- complete --
 
 func (c *Core) complete() {
-	// Collect micro-ops whose execution finishes by now. The ROB walk is in
-	// program (sequence) order, so the resolved list is already oldest
-	// first and branch recoveries trigger in program order without a sort.
+	// Pop the micro-ops whose execution finishes by now and wake their
+	// consumers. Every latency is at least one cycle, so all of them finish
+	// exactly now and the queue yields them in program (Seq) order: the
+	// resolved list is oldest first and branch recoveries trigger in
+	// program order.
 	resolved := c.resolvedBuf[:0]
-	n := 0
-	for _, d := range c.rob {
-		if d.State == StIssued && d.DoneAt <= c.now {
-			d.State = StDone
-			c.trace("complete", d)
-			if d.IsCondBr {
-				resolved = resolved[:n+1]
-				resolved[n] = d
-				n++
-			}
+	for len(c.doneQ) > 0 && c.doneQ[0].at <= c.now {
+		d := c.doneQ.pop().d
+		d.State = StDone
+		c.trace("complete", d)
+		c.wake(d)
+		if d.IsCondBr {
+			resolved = resolved[:len(resolved)+1]
+			resolved[len(resolved)-1] = d
 		}
 	}
 	for _, d := range resolved {
+		// An older branch's recovery above squashed d and freed its slot,
+		// but nothing is fetched before this loop ends, so the slot still
+		// holds d.
 		if d.State == StSquashed {
 			continue
 		}
@@ -495,14 +510,15 @@ func (c *Core) recoverAt(d *DynUop) {
 	}
 	c.trace("flush", d)
 	for _, e := range squashed {
-		if e.State != StSquashed {
-			if e.U.Op.IsMem() {
-				c.lsqCount--
-			}
-			c.releaseWP(e)
-			e.State = StSquashed
-			c.trace("squash", e)
+		if e.U.Op.IsMem() {
+			c.lsqCount--
 		}
+		if e.State == StInRS {
+			c.rsCount--
+		}
+		c.releaseWP(e)
+		e.State = StSquashed
+		c.trace("squash", e)
 	}
 	// Squash the entire fetch queue (it is younger than any ROB entry).
 	for _, e := range c.fetchQ {
@@ -511,19 +527,15 @@ func (c *Core) recoverAt(d *DynUop) {
 	}
 	c.fetchQ = c.fetchQ[:0]
 	c.squashBranchesAfter(d)
-	// Drop squashed reservation-station entries (in place, order kept).
-	live, nl := c.rs[:0], 0
-	for _, e := range c.rs {
-		if e.State == StInRS {
-			live = live[:nl+1]
-			live[nl] = e
-			nl++
-		}
-	}
-	c.rs = live
+	// Free the squashed slots and drop every scheduler reference to them
+	// before the next fetch can reuse them.
+	c.uops.truncateAfter(d)
+	c.ready.truncateAfter(d.Seq)
+	c.doneQ.truncateAfter(d.Seq)
 	// Rebuild the register rename table from the surviving ROB.
 	c.lastWriter = [isa.NumRegs]*DynUop{}
 	for _, e := range c.rob {
+		c.pruneWaiters(e, d.Seq)
 		de := &c.dec[e.U.PC]
 		for _, r := range de.dsts[:de.ndst] {
 			c.lastWriter[r] = e
@@ -535,7 +547,7 @@ func (c *Core) recoverAt(d *DynUop) {
 	if d.Res.Taken {
 		target = d.Res.Target
 	}
-	e := &c.br.buf[d.BrID]
+	e := &c.uops.br[d.Slot]
 	c.fe.recover(e.fe, target, d.Seq)
 	c.bp.Restore(e.snap)
 	c.bp.OnFetch(d.U.PC, d.Res.Taken)
@@ -565,34 +577,28 @@ func opLatency(cfg *Config, op isa.Op) uint64 {
 	}
 }
 
+// issue walks the ready list oldest first and issues up to IssueWidth
+// micro-ops, each on a free ALU or memory port; a micro-op whose port class
+// is exhausted stays ready for a later cycle.
 func (c *Core) issue() int {
-	if len(c.rs) == 0 {
-		return 0
-	}
-	// Gather ready candidates. The reservation stations are kept in
-	// dispatch (sequence) order — appends and in-place filters both
-	// preserve it — so the candidate list is already oldest first.
-	cand, nc := c.issueBuf[:0], 0
-	for _, d := range c.rs {
-		if c.uopReady(d) {
-			cand = cand[:nc+1]
-			cand[nc] = d
-			nc++
-		}
-	}
-
-	issued, aluUsed, memUsed := 0, 0, 0
-	for _, d := range cand {
+	rl := c.ready
+	issued, aluUsed, memUsed, n := 0, 0, 0, 0
+	for i, d := range rl {
 		if issued >= c.cfg.IssueWidth {
+			n += copy(rl[n:], rl[i:])
 			break
 		}
 		if d.U.Op.IsMem() {
 			if memUsed >= c.cfg.MemPorts {
+				rl[n] = d
+				n++
 				continue
 			}
 			memUsed++
 		} else {
 			if aluUsed >= c.cfg.IntALUs {
+				rl[n] = d
+				n++
 				continue
 			}
 			aluUsed++
@@ -600,34 +606,9 @@ func (c *Core) issue() int {
 		c.execute(d)
 		issued++
 	}
-	if issued > 0 {
-		// Remove issued entries from the reservation stations.
-		live, nl := c.rs[:0], 0
-		for _, d := range c.rs {
-			if d.State == StInRS {
-				live = live[:nl+1]
-				live[nl] = d
-				nl++
-			}
-		}
-		c.rs = live
-	}
+	c.ready = rl[:n]
+	c.rsCount -= issued
 	return issued
-}
-
-func (c *Core) uopReady(d *DynUop) bool {
-	for _, p := range d.prods[:d.nprods] {
-		if !p.Done(c.now) && p.State != StSquashed {
-			return false
-		}
-	}
-	if d.IsLoad() && d.storeDep != nil {
-		sd := d.storeDep
-		if sd.State != StSquashed && sd.State != StRetired && !sd.Done(c.now) {
-			return false
-		}
-	}
-	return true
 }
 
 func (c *Core) execute(d *DynUop) {
@@ -654,6 +635,7 @@ func (c *Core) execute(d *DynUop) {
 	default:
 		d.DoneAt = c.now + c.dec[d.U.PC].lat
 	}
+	c.doneQ.push(doneEntry{at: d.DoneAt, seq: d.Seq, d: d})
 }
 
 // -------------------------------------------------------------- dispatch --
@@ -665,7 +647,7 @@ func (c *Core) dispatch() {
 		if d.ReadyAt > c.now {
 			return
 		}
-		if len(c.rob) >= c.cfg.ROBSize || len(c.rs) >= c.cfg.RSSize {
+		if len(c.rob) >= c.cfg.ROBSize || c.rsCount >= c.cfg.RSSize {
 			c.Ctr.DispatchStallBackend.Inc()
 			return
 		}
@@ -676,8 +658,7 @@ func (c *Core) dispatch() {
 		c.fetchQ = c.fetchQ[1:]
 		c.rename(d)
 		c.rob = pushQueue(c.robBuf, c.rob, d)
-		c.rs = c.rs[:len(c.rs)+1]
-		c.rs[len(c.rs)-1] = d
+		c.rsCount++
 		d.State = StInRS
 		c.trace("dispatch", d)
 		if d.U.Op.IsMem() {
@@ -688,17 +669,27 @@ func (c *Core) dispatch() {
 }
 
 // rename resolves d's register sources to producing micro-ops via the
-// decode cache.
+// decode cache and makes d wait on each source not yet done: the register
+// producers and a load's forwarding store. A micro-op with nothing to wait
+// for is ready at once.
 func (c *Core) rename(d *DynUop) {
 	de := &c.dec[d.U.PC]
 	for _, r := range de.srcs[:de.nsrc] {
-		if w := c.lastWriter[r]; w != nil && w.State != StSquashed && w.State != StRetired {
-			d.prods[d.nprods] = w
-			d.nprods++
+		if w := c.lastWriter[r]; w != nil && w.resultPending() {
+			addWaiter(w, d)
 		}
+	}
+	// The store was in flight when the load was fetched. If it has retired
+	// since, its slot may hold a micro-op fetched after the load, which the
+	// Seq check rejects.
+	if sd := d.storeDep; sd != nil && sd.Seq < d.Seq && sd.resultPending() {
+		addWaiter(sd, d)
 	}
 	for _, r := range de.dsts[:de.ndst] {
 		c.lastWriter[r] = d
+	}
+	if d.pending == 0 {
+		c.ready.insert(d)
 	}
 }
 
@@ -790,7 +781,7 @@ func (c *Core) fetchCondBranch(pc uint64) *DynUop {
 	d.IsCondBr = true
 	d.WrongPath = wrongPath
 	d.TagePred = basePred
-	d.BrID = c.br.push(brEntry{fe: c.fe.checkpoint(), snap: snap, info: info})
+	c.uops.br[d.Slot] = brEntry{fe: c.fe.checkpoint(), snap: snap, info: info}
 
 	pred := basePred
 	if c.ext != nil {

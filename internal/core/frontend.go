@@ -39,10 +39,8 @@ type frontend struct {
 	// overlay; pure storage, rebuilt by the constructor.
 	storeBuf []storeRec
 
-	// slab is the DynUop bump allocator: fresh zeroed chunks handed out by
-	// reslice and never recycled, so one allocation serves slabSize fetched
-	// micro-ops. Pure allocation scratch, rebuilt empty.
-	slab []DynUop
+	// uops is the core's micro-op ring, which fetchUop allocates from.
+	uops *uopRing
 
 	// invalid is set when fetch has run off the program (possible only on
 	// the wrong path); fetch stalls until a recovery redirects it.
@@ -54,28 +52,14 @@ type frontend struct {
 	srcErr error
 }
 
-// slabSize is the DynUop bump-allocator chunk length.
-const slabSize = 4096
-
-// newFrontend builds a fetch engine over src; storeBound is the
-// architectural bound on in-flight stores (every un-retired store sits in
-// the fetch queue or the ROB).
-func newFrontend(src InstrSource, storeBound int) *frontend {
-	f := &frontend{src: src, mem: src.Memory(), pc: src.Entry()}
-	f.storeBuf = make([]storeRec, 2*storeBound)
+// newFrontend builds a fetch engine over src that allocates micro-ops from
+// uops. The ring's size, the bound on in-flight micro-ops, also bounds the
+// in-flight stores.
+func newFrontend(src InstrSource, uops *uopRing) *frontend {
+	f := &frontend{src: src, mem: src.Memory(), pc: src.Entry(), uops: uops}
+	f.storeBuf = make([]storeRec, 2*len(uops.buf))
 	f.stores = f.storeBuf[:0]
 	return f
-}
-
-// newDynUop hands out one zeroed DynUop from the slab.
-func (f *frontend) newDynUop() *DynUop {
-	if len(f.slab) == 0 {
-		// Amortized slab refill: one allocation per slabSize micro-ops.
-		f.slab = make([]DynUop, slabSize) //brlint:allow hot-path-alloc
-	}
-	d := &f.slab[0]
-	f.slab = f.slab[1:]
-	return d
 }
 
 // Load implements emu.MemView: committed memory patched with in-flight
@@ -153,7 +137,7 @@ func (f *frontend) fetchUop(seq uint64, wrongPath bool) *DynUop {
 		f.invalid = true
 		return nil
 	}
-	d := f.newDynUop()
+	d := f.uops.alloc()
 	d.Seq = seq
 	d.U = u
 	d.Res = res

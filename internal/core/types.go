@@ -155,18 +155,26 @@ type DynUop struct {
 	// TagePred records what the baseline predictor said, even when it was
 	// overridden (needed for throttle-counter training).
 	TagePred bool
-	// BrID names a conditional branch's entry in the core's ring of
-	// in-flight branches, which holds its recovery checkpoints. The id is
-	// reused once the branch retires or is squashed, so an extension may
-	// key per-branch state by it and overwrite that state at the next fetch
-	// with the same id.
-	BrID uint32
+	// Slot is the micro-op's index in the core's ring of in-flight
+	// micro-ops, which also holds a conditional branch's recovery
+	// checkpoints. No two in-flight micro-ops share a slot, and a slot is
+	// reused once its micro-op retires or is squashed, so an extension may
+	// key per-branch state by it and overwrite that state at the next
+	// branch fetched into the same slot.
+	Slot uint32
 
-	// Scheduling state. prods is inline storage for the (at most three)
-	// in-flight producers rename resolves; nprods is the live count.
-	prods    [3]*DynUop
-	nprods   uint8
+	// Scheduling state (see sched.go). storeDep is the older in-flight
+	// store a load forwards
+	// from, recorded at fetch; the store may retire and its slot be reused
+	// before the load dispatches, so rename checks it by Seq and afterwards
+	// it is only tested for nil. pending counts the sources rename found not
+	// yet done. waiters heads the wakeup edges of the micro-ops waiting on
+	// this one, youngest first; waitNext[k] links this micro-op's k-th edge
+	// into its producer's list.
 	storeDep *DynUop
+	pending  uint8
+	waiters  edge
+	waitNext [maxEdges]edge
 	State    UopState
 	ReadyAt  uint64 // earliest dispatch cycle (fetch + frontend depth)
 	DoneAt   uint64
@@ -182,18 +190,20 @@ func (d *DynUop) IsLoad() bool { return d.U.Op.IsLoad() }
 // IsStore reports whether the micro-op is a store.
 func (d *DynUop) IsStore() bool { return d.U.Op.IsStore() }
 
-// Done reports whether the result is available at cycle now.
-func (d *DynUop) Done(now uint64) bool {
-	return (d.State == StDone || d.State == StRetired) && d.DoneAt <= now
-}
+// resultPending reports whether d has been dispatched but has not completed.
+func (d *DynUop) resultPending() bool { return d.State == StInRS || d.State == StIssued }
 
 // Extension is the hook surface Branch Runahead plugs into. A nil extension
 // yields the unmodified baseline core.
+//
+// Every *DynUop a hook receives is a slot of the core's micro-op ring, which
+// the next fetch may reuse once the micro-op has retired or been squashed:
+// an extension must not keep the pointer past the call.
 type Extension interface {
 	// FetchCondBranch may override the baseline prediction for a
 	// conditional branch at fetch. It returns the final prediction and
 	// whether it came from a prediction queue. An extension that needs a
-	// per-branch checkpoint for Restore records it here, keyed by d.BrID,
+	// per-branch checkpoint for Restore records it here, keyed by d.Slot,
 	// before it changes any state.
 	FetchCondBranch(now uint64, d *DynUop, basePred bool) (pred bool, fromDCE bool)
 	// Restore rewinds extension fetch-side state to what it was when the

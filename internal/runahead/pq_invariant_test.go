@@ -38,12 +38,12 @@ func condBr(pc uint64, taken bool) *core.DynUop {
 	return d
 }
 
-// fetchBr passes d through the System's fetch hook under branch id id, as
-// the core does for every conditional branch it fetches (the core hands
-// out ids from its in-flight branch ring), and records the prediction on d
-// the way the core's fetch does.
+// fetchBr passes d through the System's fetch hook in ring slot id, as the
+// core does for every conditional branch it fetches (the core hands out
+// slots from its ring of in-flight micro-ops), and records the prediction
+// on d the way the core's fetch does.
 func fetchBr(s *System, now uint64, d *core.DynUop, id uint32) (pred, fromDCE bool) {
-	d.BrID = id
+	d.Slot = id
 	pred, fromDCE = s.FetchCondBranch(now, d, false)
 	d.PredTaken, d.UsedDCE = pred, fromDCE
 	return pred, fromDCE
@@ -148,7 +148,7 @@ func TestPQPointerOrderAcrossRecoveryFlush(t *testing.T) {
 			t.Fatalf("refetched instance %d: pred=%v fromDCE=%v, want %v from queue",
 				i, pred, fromDCE, pattern(i))
 		}
-		if ref := s.rows[d.BrID].ref; ref.idx != uint64(i-1) {
+		if ref := s.rows[d.Slot].ref; ref.idx != uint64(i-1) {
 			t.Fatalf("refetched instance %d consumed slot %d, want %d", i, ref.idx, i-1)
 		}
 		s.Retired(now, d)
@@ -186,7 +186,7 @@ func TestPQLateSlotRefilledAcrossRecovery(t *testing.T) {
 	if fromDCE || pred {
 		t.Fatalf("unfilled slot supplied a prediction (pred=%v fromDCE=%v)", pred, fromDCE)
 	}
-	if ref := s.rows[d.BrID].ref; ref.cat != catLate {
+	if ref := s.rows[d.Slot].ref; ref.cat != catLate {
 		t.Fatalf("consumption category %v, want late", ref.cat)
 	}
 	if !q.slot(0).consumed {

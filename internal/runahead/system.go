@@ -47,9 +47,9 @@ type System struct {
 	tr *trace.Tracer
 
 	// rows holds the state of each in-flight conditional branch, indexed
-	// by its core.DynUop.BrID. A row is written when its branch is fetched
-	// and overwritten when the core hands the id to a later branch, so
-	// nothing is ever released.
+	// by its core.DynUop.Slot. A row is written when its branch is fetched
+	// and overwritten when a later branch is fetched into the same slot,
+	// so nothing is ever released.
 	rows []brRow
 
 	// ext is the reusable chain extractor; pure scratch between
@@ -151,7 +151,7 @@ func (s *System) Chains() []*Chain { return s.cc.All() }
 // prediction queue with a filled slot, the DCE's outcome overrides the
 // baseline prediction.
 func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (bool, bool) {
-	row := s.row(d.BrID)
+	row := s.row(d.Slot)
 	s.pqs.checkpoint(row.pos)
 	row.ref = slotRef{}
 	q := s.pqs.For(d.U.PC)
@@ -209,9 +209,9 @@ func (s *System) FetchCondBranch(now uint64, d *core.DynUop, basePred bool) (boo
 	return pred, fromDCE
 }
 
-// row returns the row for branch id, growing the table on the first visits
-// to ids past its end. The core's ids stay below its ring size, so the
-// table stops growing there.
+// row returns the row for the branch in ring slot id, growing the table on
+// the first visits to slots past its end. The core's slots stay below its
+// ring size, so the table stops growing there.
 func (s *System) row(id uint32) *brRow {
 	for int(id) >= len(s.rows) {
 		s.rows = append(s.rows, brRow{pos: make([]pqPos, len(s.pqs.queues))}) //brlint:allow hot-path-alloc
@@ -228,7 +228,7 @@ func (s *System) row(id uint32) *brRow {
 // BranchResolved keeps running ahead), each later instance reads its
 // predecessor's outcome until a divergence forces a resynchronization.
 func (s *System) Restore(now uint64, cause *core.DynUop) {
-	s.pqs.restore(now, s.rows[cause.BrID].pos)
+	s.pqs.restore(now, s.rows[cause.Slot].pos)
 }
 
 // -------------------------------------------------------------- resolve --
@@ -249,7 +249,7 @@ func (s *System) BranchResolved(now uint64, d *core.DynUop, correctRegs *emu.Reg
 	if correctRegs == nil {
 		return
 	}
-	if ref := &s.rows[d.BrID].ref; ref.q != nil && ref.q.gen == ref.gen && ref.q.active {
+	if ref := &s.rows[d.Slot].ref; ref.q != nil && ref.q.gen == ref.gen && ref.q.active {
 		switch ref.cat {
 		case catLate, catThrottled:
 			slot := ref.q.slot(ref.idx)
@@ -328,7 +328,7 @@ func (s *System) Retired(now uint64, d *core.DynUop) {
 	}
 
 	// Prediction-queue retire-side bookkeeping.
-	if ref := &s.rows[d.BrID].ref; ref.q != nil && !ref.counted && ref.q.gen == ref.gen {
+	if ref := &s.rows[d.Slot].ref; ref.q != nil && !ref.counted && ref.q.gen == ref.gen {
 		s.accountPrediction(now, ref, actual, d)
 	}
 

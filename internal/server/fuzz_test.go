@@ -9,10 +9,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
-
-	"repro/internal/workloads"
 )
 
 func FuzzDecodeRequest(f *testing.F) {
@@ -22,15 +19,12 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add([]byte(`{"version":1,"kind":"figure","figure":"10","workloads":["leela_17","bfs"]}`))
 	f.Add([]byte(`{"version":2,"kind":"sweep"}`))
 	f.Add([]byte(`{"version":1,"kind":"run","workload":"mcf_17","warmup":18446744073709551615,"instrs":1}`))
+	f.Add([]byte(`{"version":1,"kind":"run","workload":"trace:/dev/zero"}`))
 	f.Add([]byte(`{`))
 	d := testDefaults()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, err := DecodeRequest(bytes.NewReader(b))
 		if err != nil {
-			return
-		}
-		// A trace workload names a file; keep the fuzzer off the file system.
-		if strings.HasPrefix(req.Workload, workloads.TracePrefix) {
 			return
 		}
 		norm, err := NormalizeRequest(req, d)

@@ -175,13 +175,19 @@ func checkWorkload(name string) error {
 	return fmt.Errorf("server: unknown workload %q", name)
 }
 
-// resolveWorkload validates a run request's workload name. Trace names are
-// resolved now — a missing or corrupt trace file is the client's error (400),
-// not a mid-job failure — and canonicalized to their fingerprinted form, so
-// the job ID addresses the trace content: resubmitting after the file changed
-// is a new job, not a stale hit.
+// resolveWorkload validates a run request's workload name. A trace must be
+// one the server registered: workloads.ByName would read any other name as a
+// file path, and a client must not choose which files the server opens.
+// Trace names are resolved now — a missing or corrupt trace file is the
+// client's error (400), not a mid-job failure — and canonicalized to their
+// fingerprinted form, so the job ID addresses the trace content:
+// resubmitting after the file changed is a new job, not a stale hit.
 func resolveWorkload(name string) (string, error) {
-	if strings.HasPrefix(name, workloads.TracePrefix) {
+	if spec, ok := strings.CutPrefix(name, workloads.TracePrefix); ok {
+		base, _ := workloads.SplitTraceSpec(spec)
+		if _, ok := workloads.TracePath(base); !ok {
+			return "", fmt.Errorf("server: trace workload %q: not a registered trace name", name)
+		}
 		w, err := workloads.ByName(name, workloads.Scale{})
 		if err != nil {
 			return "", err

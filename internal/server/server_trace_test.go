@@ -124,10 +124,25 @@ func TestServeTraceRequestErrors(t *testing.T) {
 		})
 	}
 
+	// A valid trace the server never registered is refused by name, not
+	// opened as a path.
+	other := t.TempDir()
+	writeTestTrace(t, other, "unregistered")
+	req := runRequest()
+	req.Workload = workloads.TracePrefix + filepath.Join(other, "unregistered.btr")
+	req.BR = ""
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit of an unregistered trace path = %d (body %s), want 400", resp.StatusCode, body)
+	}
+	if !strings.Contains(string(body), "not a registered trace name") {
+		t.Errorf("unregistered trace path refused for another reason: %s", body)
+	}
+
 	// Figures aggregate the built-in suites; trace workloads are rejected.
 	fig := figureRequest("10")
 	fig.Workloads = []string{"trace:leela-e2e"}
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", fig)
+	resp, body = postJSON(t, ts.URL+"/v1/jobs", fig)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("figure submit = %d (body %s), want 400", resp.StatusCode, body)
 	}

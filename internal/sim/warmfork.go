@@ -73,8 +73,8 @@ type Warm struct {
 }
 
 // WarmupSnapshot drives w from reset to the warmup/measure boundary under
-// cfg (which must be in WarmupBarrier mode) and returns a copy of the
-// drained machine. It forks under any config whose WarmupKey equals cfg's,
+// cfg (which must be in WarmupBarrier mode) and returns the drained
+// machine. It forks under any config whose WarmupKey equals cfg's,
 // regardless of its measure-only fields.
 func WarmupSnapshot(w *workloads.Workload, cfg Config) (*Warm, error) {
 	if err := shareable(cfg); err != nil {
@@ -87,16 +87,7 @@ func WarmupSnapshot(w *workloads.Workload, cfg Config) (*Warm, error) {
 	if err := m.warmup(); err != nil {
 		return nil, err
 	}
-	// Keep a fresh copy rather than m: m's pipeline buffers still point into
-	// the micro-op slabs its warmup filled, tens of MB no fork reads.
-	t, err := newMachine(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.copyFrom(m); err != nil {
-		return nil, err
-	}
-	return &Warm{m: t, key: WarmupKey(cfg)}, nil
+	return &Warm{m: m, key: WarmupKey(cfg)}, nil
 }
 
 // RunFromWarmup forks warm into a fresh machine and runs the measure phase

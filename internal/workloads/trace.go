@@ -78,13 +78,20 @@ func isFingerprint(s string) bool {
 	return true
 }
 
+// SplitTraceSpec splits spec, a trace workload name without TracePrefix,
+// into the registered name or file path it refers to and its fingerprint
+// suffix, which is empty when spec carries none.
+func SplitTraceSpec(spec string) (base, fingerprint string) {
+	if i := strings.LastIndexByte(spec, '@'); i >= 0 && isFingerprint(spec[i+1:]) {
+		return spec[:i], spec[i+1:]
+	}
+	return spec, ""
+}
+
 // traceWorkload loads the trace workload named by spec (TracePrefix already
 // stripped).
 func traceWorkload(spec string) (*Workload, error) {
-	base, wantFP := spec, ""
-	if i := strings.LastIndexByte(spec, '@'); i >= 0 && isFingerprint(spec[i+1:]) {
-		base, wantFP = spec[:i], spec[i+1:]
-	}
+	base, wantFP := SplitTraceSpec(spec)
 	path, registered := traceFiles[base]
 	if !registered {
 		path = base
